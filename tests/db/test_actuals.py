@@ -16,6 +16,7 @@ from repro.db import (
     strip_explain,
 )
 from repro.errors import PlanError
+from repro.experiments.e25_optimizer import star_database, star_queries
 
 
 def tiny_engine(executor="loop", **kwargs):
@@ -28,6 +29,39 @@ def tiny_engine(executor="loop", **kwargs):
 
 
 SQL = "SELECT k, v FROM t WHERE v < 3 ORDER BY k LIMIT 5"
+
+
+#: EXPLAIN ANALYZE of the E25 ``region_cat`` star query, recorded
+#: before the executor collapse: per-profile simulated self times and
+#: the kernel/loop annotations must not move.
+STAR_EXPLAIN_ANALYZE = {
+    "loop": (
+        "EXPLAIN ANALYZE (executor=loop)\n"
+        "-- 10 operators, median q-error 2.23, max 50.00\n"
+        "-> Sort(region ASC)  est_rows=50  rows=1  q=50.00  batches=1  self=0.000ms  buffer=0/0\n"
+        "  -> Project(region, s)  est_rows=50  rows=1  q=50.00  batches=1  self=0.000ms  buffer=0/0\n"
+        "    -> Aggregate(by region: sum(amount) AS s)  est_rows=50  rows=1  q=50.00  batches=1  self=0.067ms  buffer=0/0\n"
+        "      -> HashJoin(pkey=pkey)  est_rows=240  rows=444  q=1.85  batches=2  self=0.033ms  buffer=0/0\n"
+        "        -> NestedLoopJoin(ckey=ckey)  est_rows=40  rows=89  q=2.23  batches=2  self=0.360ms  buffer=0/0\n"
+        "          -> Filter((region = 11))  est_rows=4  rows=9  q=2.25  batches=1  self=0.012ms  buffer=0/0\n"
+        "            -> SeqScan(cust: ckey, region)  est_rows=200  rows=200  q=1.00  batches=1  self=0.004ms  buffer=1/0  blocks pruned=0/1  dict_columns=2\n"
+        "          -> SeqScan(fact: amount, ckey, pkey)  est_rows=2000  rows=2000  q=1.00  batches=1  self=0.060ms  buffer=1/0  dict_columns=2\n"
+        "        -> Filter((cat < 3))  est_rows=240  rows=197  q=1.22  batches=1  self=0.014ms  buffer=0/0\n"
+        "          -> SeqScan(part: cat, pkey)  est_rows=240  rows=240  q=1.00  batches=1  self=0.005ms  buffer=1/0  blocks pruned=0/1  dict_columns=2"),
+    "vectorized": (
+        "EXPLAIN ANALYZE (executor=vectorized)\n"
+        "-- 10 operators, median q-error 2.23, max 50.00\n"
+        "-> Sort(region ASC)  est_rows=50  rows=1  q=50.00  batches=1  self=0.000ms  buffer=0/0\n"
+        "  -> Project(region, s)  est_rows=50  rows=1  q=50.00  batches=1  self=0.004ms  buffer=0/0\n"
+        "    -> Aggregate(by region: sum(amount) AS s)  est_rows=50  rows=1  q=50.00  batches=1  self=0.012ms  buffer=0/0\n"
+        "      -> HashJoin(pkey=pkey)  est_rows=240  rows=444  q=1.85  batches=2  self=0.008ms  buffer=0/0\n"
+        "        -> NestedLoopJoin(ckey=ckey)  est_rows=40  rows=89  q=2.23  batches=2  self=0.360ms  buffer=0/0\n"
+        "          -> Filter((region = 11))  est_rows=4  rows=9  q=2.25  batches=1  self=0.005ms  buffer=0/0\n"
+        "            -> SeqScan(cust: ckey, region)  est_rows=200  rows=200  q=1.00  batches=1  self=0.004ms  buffer=1/0  blocks pruned=0/1  dict_columns=2\n"
+        "          -> SeqScan(fact: amount, ckey, pkey)  est_rows=2000  rows=2000  q=1.00  batches=1  self=0.060ms  buffer=1/0  dict_columns=2\n"
+        "        -> Filter((cat < 3))  est_rows=240  rows=197  q=1.22  batches=1  self=0.006ms  buffer=0/0\n"
+        "          -> SeqScan(part: cat, pkey)  est_rows=240  rows=240  q=1.00  batches=1  self=0.005ms  buffer=1/0  blocks pruned=0/1  dict_columns=2"),
+}
 
 
 class TestQError:
@@ -104,6 +138,15 @@ class TestExplainAnalyze:
             assert "rows=" in line
             assert "q=" in line
             assert "buffer=" in line
+
+    @pytest.mark.parametrize("executor", ["loop", "vectorized"])
+    def test_star_query_text_pinned(self, executor):
+        db = star_database(seed=7, n_fact=2_000)
+        engine = Engine(db, EngineConfig(executor=executor,
+                                         optimizer="cost"))
+        engine.analyze()
+        text = engine.explain_analyze(star_queries()[1].sql)
+        assert text == STAR_EXPLAIN_ANALYZE[executor]
 
     def test_sql_prefix_routes_to_analyze(self):
         # fresh engines: both executions start from a cold buffer pool

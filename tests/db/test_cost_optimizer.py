@@ -8,6 +8,7 @@ property that every enumerated join order and operator choice computes
 the same result on both executors.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -155,8 +156,12 @@ class TestCostModel:
         assert fitted.per_row_ns == pytest.approx(42.0, rel=0.01)
         assert fitted.startup_ns == pytest.approx(1_000.0, rel=0.05)
 
-    def test_calibration_is_deterministic_and_sensible(self):
-        model = calibrate_cost_model(seed=7)
+    @pytest.fixture(scope="class")
+    def calibrated(self):
+        return calibrate_cost_model(seed=7)
+
+    def test_calibration_is_deterministic_and_sensible(self, calibrated):
+        model = calibrated
         again = calibrate_cost_model(seed=7)
         assert model == again
         assert model.source == "calibrated"
@@ -165,6 +170,17 @@ class TestCostModel:
         assert sort.per_row_ns == pytest.approx(80.0, rel=0.2)
         scan = model.cost_for("SeqScan")
         assert scan.per_byte_ns > 0.0  # cold IO landed on the byte slope
+
+    def test_calibrated_coefficients_pinned(self, calibrated):
+        """The fit reads simulated span times, so every coefficient
+        must survive executor refactorings digit for digit."""
+        coefficients = repr([(kind, cost.startup_ns, cost.per_row_ns,
+                              cost.per_byte_ns)
+                             for kind, cost in calibrated.coefficients])
+        digest = hashlib.sha256(coefficients.encode()).hexdigest()
+        assert digest == (
+            "2106ab7128ef0c53209c384603b6e0f8"
+            "b3b36e2cbabb076fa4866c10c74d6f75")
 
     def test_join_rows_caps_ndv(self):
         # NDV larger than cardinality is capped at the row count.

@@ -15,6 +15,7 @@ from repro.experiments.e23_vectorized import (
     run_e23_campaign,
 )
 from repro.obs.export import to_jsonl
+from tests.integration import sim_digest
 
 ROWS = {"rows_low": 1_000, "rows_high": 4_000}  # small, CI-friendly
 
@@ -56,6 +57,18 @@ class TestSpeedupAndEffects:
         text = result.format()
         assert "overall median speedup" in text
         assert "allocation of variation" in text
+
+    def test_simulated_numbers_pinned(self, result):
+        """Every measured simulated time and every derived speedup."""
+        speedup = result.speedup
+        numbers = (result.report.results.to_csv(),
+                   (speedup.mean, speedup.low, speedup.high),
+                   result.speedup_rows,
+                   [(label, (ci.mean, ci.low, ci.high), point)
+                    for label, ci, point in result.speedup_cis])
+        assert sim_digest(numbers) == (
+            "8181ebbb74f373af905f6a2a4616db1d"
+            "fcb47f045321e168a8cc6bdd879ebc0f")
 
 
 class TestCampaignJobsInvariance:

@@ -21,6 +21,7 @@ from repro.experiments.e25_optimizer import (
     run_e25,
     run_e25_campaign,
 )
+from tests.integration import sim_digest
 
 
 @pytest.fixture(scope="module")
@@ -56,6 +57,23 @@ class TestSpeedupAndEffects:
         assert "enumerated plan space" in text
         assert "median optimality ratio" in text
         assert "q-error" in text
+
+    def test_simulated_numbers_pinned(self, result):
+        """Measured times, speedups, the plan space and the q-errors."""
+        speedup = result.speedup
+        numbers = (result.report.results.to_csv(),
+                   (speedup.mean, speedup.low, speedup.high),
+                   result.speedup_rows,
+                   [(space.query, space.naive_s, space.chosen_s,
+                     space.chosen_order,
+                     [(o.order, o.simulated_s, o.chosen)
+                      for o in space.orders])
+                    for space in result.plan_spaces],
+                   [(q.query, q.operator, q.est_rows, q.actual_rows,
+                     q.q_error) for q in result.qerrors])
+        assert sim_digest(numbers) == (
+            "53c8249299f9f71e8a6e1f1993bda739"
+            "f95ee60930e19814beb89a1fbfa79719")
 
 
 class TestPlanQuality:

@@ -15,6 +15,7 @@ from repro.experiments.e27_cross_system import (
     run_e27,
     star_workload,
 )
+from tests.integration import sim_digest
 
 
 @pytest.fixture(scope="module")
@@ -63,6 +64,17 @@ class TestE27CrossSystem:
         text = result.format()
         assert "fair run" in text and "unfair run" in text
         assert "stage-match" in text
+
+    def test_simulated_seconds_pinned(self, result):
+        """The MiniDB backends' simulated time per cell and in total;
+        wall-clock numbers are host noise and stay unpinned."""
+        numbers = [([(m.system, m.query, m.order, m.simulated_s)
+                     for m in report.measurements],
+                    [(s.system, s.simulated_s) for s in report.summaries])
+                   for report in (result.fair, result.unfair)]
+        assert sim_digest(numbers) == (
+            "629f6bf5be928932c1c7f438d08decd8"
+            "c300b173b461fc04633e51df5b96f6f2")
 
     def test_export_artifacts(self, result, tmp_path):
         paths = export_artifacts(result, str(tmp_path))

@@ -23,6 +23,7 @@ from repro.experiments.e28_cache import (
     run_e28_campaign,
 )
 from repro.hardware.cache import CacheModel
+from tests.integration import sim_digest
 
 
 @pytest.fixture(scope="module")
@@ -75,6 +76,17 @@ class TestRadixCurve:
         assert "sweet spot out_of_cache" in text
         assert "speedup vs bits=0" in text
         assert "self-audit" in text
+
+    def test_simulated_numbers_pinned(self, result):
+        """Measured times and the whole radix curve with its CIs."""
+        numbers = (result.report.results.to_csv(),
+                   [(p.regime, p.bits, p.median_ms,
+                     (p.speedup.mean, p.speedup.low, p.speedup.high),
+                     p.speedup_min) for p in result.curve],
+                   dict(result.sweet_spots))
+        assert sim_digest(numbers) == (
+            "08a53797c8f282dca84b7a02d2802abb"
+            "f6568c0eb707fff8df56f98db7b126e8")
 
 
 class TestCampaignJobsInvariance:

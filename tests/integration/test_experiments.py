@@ -13,6 +13,7 @@ from repro.experiments import (
     run_e08, run_e09, run_e10, run_e11, run_e12, run_e13, run_e14,
     run_e15, run_e16, run_e17, run_e18, run_e19, run_e20, run_e21,
 )
+from tests.integration import sim_digest
 
 SF = 0.004  # small scale factor keeps the whole module fast
 
@@ -120,6 +121,17 @@ class TestE05Profile:
     def test_column_mode_dominated_by_operators_not_overhead(self, result):
         report = result.column_profile
         assert report.execute_ms > report.phase_ms["parse"]
+
+    def test_simulated_profiles_pinned(self, result):
+        """Every simulated phase and operator time of both profiles."""
+        numbers = [(report.phase_ms,
+                    [(op.operator, op.self_ms, op.rows)
+                     for op in report.operators])
+                   for report in (result.column_profile,
+                                  result.tuple_profile)]
+        assert sim_digest(numbers) == (
+            "83579e8c1a44d97f4d4215c0789e2d61"
+            "6f56c82cd4971ed6e7c409aeeb2dcd87")
 
 
 class TestE06Interaction:

@@ -24,6 +24,7 @@ from repro.faults import FaultPlan
 from repro.measurement import RetryPolicy, VirtualClock, run_harness
 from repro.obs import MetricsRegistry, Tracer, to_chrome_trace, to_jsonl
 from repro.workloads import generate_tpch, tpch_query
+from tests.integration import sim_digest
 
 SF = 0.002
 SEED = 42
@@ -116,27 +117,48 @@ class TestCoverage:
 
 
 class TestE22:
-    def test_e22_writes_all_three_artifacts(self, tmp_path):
-        result = run_e22(sf=SF, seed=SEED, trace_dir=str(tmp_path))
-        names = sorted(p.name for p in tmp_path.iterdir())
+    @pytest.fixture(scope="class")
+    def e22(self, tmp_path_factory):
+        trace_dir = tmp_path_factory.mktemp("e22")
+        return run_e22(sf=SF, seed=SEED, trace_dir=str(trace_dir)), \
+            trace_dir
+
+    def test_e22_writes_all_three_artifacts(self, e22):
+        result, trace_dir = e22
+        names = sorted(p.name for p in trace_dir.iterdir())
         assert names == ["flamegraph.txt", "trace.chrome.json",
                          "trace.jsonl"]
-        jsonl = (tmp_path / "trace.jsonl").read_text(encoding="utf-8")
+        jsonl = (trace_dir / "trace.jsonl").read_text(encoding="utf-8")
         assert jsonl == to_jsonl(result.campaign_trace)
         chrome = json.loads(
-            (tmp_path / "trace.chrome.json").read_text(encoding="utf-8"))
+            (trace_dir / "trace.chrome.json").read_text(encoding="utf-8"))
         assert any(e.get("ph") == "X" for e in chrome["traceEvents"])
-        flame = (tmp_path / "flamegraph.txt").read_text(encoding="utf-8")
+        flame = (trace_dir / "flamegraph.txt").read_text(encoding="utf-8")
         assert "flamegraph:" in flame
         assert result.slowdown > 1.0
         assert result.n_fault_events > 0
         text = result.format()
         assert "two very different traces" in text
 
-    def test_contrast_shapes_differ(self):
-        result = run_e22(sf=SF, seed=SEED)
+    def test_contrast_shapes_differ(self, e22):
+        result, __ = e22
         tuned = result.contrast("tuned")
         untuned = result.contrast("untuned")
         assert tuned.buffer_misses == 0  # hot large pool: all hits
         assert untuned.buffer_misses > 0  # 8-page pool still thrashes
         assert untuned.total_ms > tuned.total_ms
+
+    def test_simulated_numbers_pinned(self, e22):
+        """Totals, slowdown and its CI, buffer and I/O counts.  Span
+        counts and flamegraphs are not pinned: they follow the kernel
+        spans the executor emits, which take no simulated time."""
+        result, __ = e22
+        ci = result.slowdown_ci
+        numbers = ([(run.label, run.total_ms, run.buffer_hits,
+                     run.buffer_misses, run.io_pages)
+                    for run in result.contrasts],
+                   result.slowdown, (ci.mean, ci.low, ci.high),
+                   result.slowdown_min)
+        assert sim_digest(numbers) == (
+            "aed2dc9859907b608eedb91ed420b9a0"
+            "e3578cb4ccd44b2ab16b610ae591d2ca")
