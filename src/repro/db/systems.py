@@ -112,19 +112,42 @@ class SystemPlan:
         return self.join_order == other.join_order
 
 
+def _is_null(value: Any) -> bool:
+    """SQL NULL as either backend returns it: MiniDB stores NULL as
+    NaN in FLOAT64 columns, SQLite returns None."""
+    return value is None or (isinstance(value, float) and value != value)
+
+
 def _row_sort_key(row: Tuple[Any, ...]) -> Tuple[str, ...]:
     # Stringified keys give a total order across mixed int/float/str
     # columns; floats are formatted to 9 significant digits so the
     # last-bit aggregation differences cannot reorder equal rows.
-    return tuple(f"{v:.9g}" if isinstance(v, float) else f"{type(v).__name__}:{v}"
+    # Both spellings of NULL share the smallest key.
+    return tuple("" if _is_null(v)
+                 else f"{v:.9g}" if isinstance(v, float)
+                 else f"{type(v).__name__}:{v}"
                  for v in row)
 
 
 def _values_match(a: Any, b: Any) -> bool:
+    if _is_null(a) or _is_null(b):
+        return _is_null(a) and _is_null(b)
     if isinstance(a, float) or isinstance(b, float):
         return math.isclose(float(a), float(b), rel_tol=FLOAT_REL_TOL,
                             abs_tol=FLOAT_ABS_TOL)
     return a == b
+
+
+def rows_match(rows_a: Sequence[Tuple[Any, ...]],
+               rows_b: Sequence[Tuple[Any, ...]]) -> bool:
+    """Row-for-row equivalence of two row sequences, in the given order.
+
+    Floats agree to within aggregation rounding; NaN and None are the
+    same NULL.
+    """
+    return len(rows_a) == len(rows_b) and all(
+        len(row_a) == len(row_b) and all(map(_values_match, row_a, row_b))
+        for row_a, row_b in zip(rows_a, rows_b))
 
 
 def results_match(a: SystemResult, b: SystemResult) -> bool:
@@ -133,12 +156,8 @@ def results_match(a: SystemResult, b: SystemResult) -> bool:
     Column *names* may differ per backend dialect; shape, row count and
     every value (floats to within aggregation rounding) must agree.
     """
-    if len(a.columns) != len(b.columns) or a.n_rows != b.n_rows:
-        return False
-    for row_a, row_b in zip(a.sorted_rows(), b.sorted_rows()):
-        if not all(_values_match(x, y) for x, y in zip(row_a, row_b)):
-            return False
-    return True
+    return len(a.columns) == len(b.columns) and \
+        rows_match(a.sorted_rows(), b.sorted_rows())
 
 
 class DatabaseSystem(abc.ABC):
@@ -336,6 +355,17 @@ _SQLITE_TYPES = {
 }
 
 
+#: GLOB spellings of LIKE's wildcards and of GLOB's own metacharacters,
+#: which are literals in a LIKE pattern.
+_GLOB_OF_LIKE = {"%": "*", "_": "?", "*": "[*]", "?": "[?]", "[": "[[]",
+                 "'": "''"}
+
+
+def _like_to_glob(pattern: str) -> str:
+    """A LIKE pattern as an equivalent, quote-escaped GLOB pattern."""
+    return "".join(_GLOB_OF_LIKE.get(ch, ch) for ch in pattern)
+
+
 class _SqliteRenderer:
     """Translate a parsed MiniDB statement into SQLite SQL.
 
@@ -431,7 +461,7 @@ class _SqliteRenderer:
             return "(" + joiner.join(self.render_expr(p)
                                      for p in expr.parts) + ")"
         if isinstance(expr, Not):
-            return f"(NOT {self.render_expr(expr.expr)})"
+            return f"(NOT {self.render_expr(expr.child)})"
         if isinstance(expr, Between):
             return (f"({self.render_expr(expr.expr)} BETWEEN "
                     f"{self.render_expr(expr.low)} AND "
@@ -442,8 +472,10 @@ class _SqliteRenderer:
                 else str(v) for v in expr.values)
             return f"({self.render_expr(expr.expr)} IN ({values}))"
         if isinstance(expr, Like):
-            return (f"({self.render_expr(expr.expr)} LIKE "
-                    f"'{expr.pattern}')")
+            # SQLite's LIKE ignores ASCII case; GLOB matches case like
+            # MiniDB does.
+            return (f"({self.render_expr(expr.expr)} GLOB "
+                    f"'{_like_to_glob(expr.pattern)}')")
         raise DatabaseError(
             f"cannot translate expression {expr!r} to SQLite")
 
@@ -517,7 +549,7 @@ class _SqliteRenderer:
             return "(" + joiner.join(self._render_alias_expr(p)
                                      for p in expr.parts) + ")"
         if isinstance(expr, Not):
-            return f"(NOT {self._render_alias_expr(expr.expr)})"
+            return f"(NOT {self._render_alias_expr(expr.child)})"
         return self.render_expr(expr)
 
 

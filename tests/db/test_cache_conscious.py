@@ -2,10 +2,10 @@
 
 Three oracles guard the new fast paths:
 
-- **join operators**: the radix-partitioned hash join must return
-  exactly what the plain hash, merge and nested-loop joins return —
-  per executor, over seeded random data, including empty-partition and
-  duplicate-heavy key distributions;
+- **join operators**: the radix-partitioned hash join, like the plain
+  hash, merge and nested-loop joins, must return exactly what SQLite
+  returns for the same join — per executor, over seeded random data,
+  including empty-partition and duplicate-heavy key distributions;
 - **zone maps**: a scan with pruning on must return exactly what the
   same scan returns with ``zone_maps=False`` — including NULL-heavy
   columns (NaN never matches a predicate), all-pruned tables and
@@ -14,9 +14,8 @@ Three oracles guard the new fast paths:
   optimizer's statistics stale but must never change results (zone
   maps and dictionaries live on the *table* and are rebuilt with it).
 
-Same-executor comparisons are exact (identical kernels, identical
-summation order); only loop-vs-vectorized comparisons would need a
-float tolerance, and those live in test_kernels_differential.py.
+Pruned-vs-unpruned comparisons run one executor on both sides, so they
+are exact (identical kernels, identical summation order).
 """
 
 import numpy as np
@@ -25,6 +24,7 @@ import pytest
 from repro.db import DataType, Database, Engine, EngineConfig, Table
 from repro.db import kernels
 from repro.hardware.cache import CacheModel
+from tests.db.reference import check
 
 JOIN_HINTS = ("hash", "merge", "loop", "radix")
 
@@ -67,43 +67,29 @@ def _rows(db, sql, executor, **config):
 
 
 class TestJoinOperatorSweep:
-    """Radix vs hash vs merge vs loop: identical rows, per executor."""
+    """Radix, hash, merge and loop joins: SQLite's rows, per executor."""
 
     @pytest.mark.parametrize("executor", ["loop", "vectorized"])
     @pytest.mark.parametrize("seed", [3, 11, 29])
     def test_all_operators_agree(self, executor, seed):
         db = _join_db(seed)
-        baseline = sorted(_rows(db, JOIN_SQL.format(op="hash"),
-                                executor))
-        for op in JOIN_HINTS[1:]:
-            rows = sorted(_rows(db, JOIN_SQL.format(op=op), executor))
-            assert rows == baseline, (
-                f"{op} join disagrees with hash under {executor} "
-                f"(seed {seed})")
+        for op in JOIN_HINTS:
+            check(db, JOIN_SQL.format(op=op), executors=(executor,))
 
     @pytest.mark.parametrize("executor", ["loop", "vectorized"])
     def test_empty_partitions(self, executor):
         """Clustered keys leave most radix partitions empty."""
         db = _join_db(5, clustered=True)
-        hash_rows = sorted(_rows(db, JOIN_SQL.format(op="hash"),
-                                 executor))
         for bits in (0, 3, 6, 9):
-            radix_rows = sorted(_rows(
-                db, JOIN_SQL.format(op="radix"), executor,
-                radix_bits=bits))
-            assert radix_rows == hash_rows, f"bits={bits}"
+            check(db, JOIN_SQL.format(op="radix"), executors=(executor,),
+                  radix_bits=bits)
 
     @pytest.mark.parametrize("executor", ["loop", "vectorized"])
     def test_nan_payloads_survive_partitioning(self, executor):
         db = _join_db(17, null_values=True)
-        hash_rows = _rows(db, JOIN_SQL.format(op="hash"), executor)
-        radix_rows = _rows(db, JOIN_SQL.format(op="radix"), executor,
-                           radix_bits=4)
-        # NaN != NaN, so compare the string renderings row-for-row
-        # after sorting on the (non-NULL) key and repr of the rest.
-        key = lambda row: (row[0], repr(row))
-        assert sorted(map(repr, sorted(hash_rows, key=key))) == \
-            sorted(map(repr, sorted(radix_rows, key=key)))
+        for op in ("hash", "radix"):
+            check(db, JOIN_SQL.format(op=op), executors=(executor,),
+                  radix_bits=4)
 
     def test_forced_bits_match_auto_bits(self):
         db = _join_db(7, n_left=20_000, n_right=4_000)

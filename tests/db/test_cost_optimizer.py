@@ -41,6 +41,7 @@ from repro.db import (
 from repro.db.costmodel import CalibrationSample
 from repro.db.plan import EST_CAP
 from repro.errors import CatalogError, PlanError, SqlSyntaxError
+from tests.db.reference import EXECUTORS, assert_matches, sqlite_result
 
 
 def star_db(seed=0, n_fact=2000, n_cust=100, n_part=25):
@@ -454,41 +455,19 @@ class TestEstimateSanitisation:
 # Differential property: every enumerated plan computes the same result
 # ---------------------------------------------------------------------------
 
-def _rows_close(rows_a, rows_b):
-    assert len(rows_a) == len(rows_b)
-    for ra, rb in zip(rows_a, rows_b):
-        assert len(ra) == len(rb)
-        for a, b in zip(ra, rb):
-            if isinstance(a, float) or isinstance(b, float):
-                assert math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-12)
-            else:
-                assert a == b
-
-
 class TestDifferentialEnumeration:
     @pytest.mark.parametrize("seed", (3, 42))
     def test_all_orders_and_operators_agree(self, seed):
         db = star_db(seed=seed, n_fact=400, n_cust=30, n_part=10)
         stmt = parse_select(STAR_SQL)
-        oracle = Engine(db, EngineConfig(executor="loop")).execute(
-            STAR_SQL).rows
+        want = sqlite_result(db, STAR_SQL)
         for order in enumerate_join_orders(stmt, db):
             for op in ("hash", "merge", "loop"):
                 ops = " ".join(f"JOIN_OP({t} {op})" for t in order[1:])
                 sql = (f"/*+ JOIN_ORDER({' '.join(order)}) {ops} */ "
                        + STAR_SQL)
-                per_executor = {}
-                for executor in ("loop", "vectorized"):
+                for executor in EXECUTORS:
                     engine = Engine(db, EngineConfig(
                         optimizer="cost", executor=executor))
                     engine.analyze()
-                    per_executor[executor] = engine.execute(sql).rows
-                # Same plan on both executors: identical rows, with
-                # float aggregates equal up to summation order (the
-                # vectorized reduceat accumulates differently — same
-                # tolerance the differential kernel tests use).
-                _rows_close(per_executor["loop"],
-                            per_executor["vectorized"])
-                # Against the heuristic oracle: equal up to float
-                # summation order (join order changes accumulation).
-                _rows_close(per_executor["loop"], oracle)
+                    assert_matches(engine.execute(sql), want, sql)
