@@ -1,20 +1,12 @@
-"""E23 bench — vectorized kernels vs the per-row loop executor.
+"""E23 bench — host wall-clock of the loop and vectorized cost profiles.
 
-Two kinds of timing live here:
-
-* pytest-benchmark cases (picked up by ``scripts/bench_gate.py``) that
-  time the *host* wall-clock of hot loop vs vectorized executions and of
-  the raw kernels, so a regression in the NumPy paths is caught by the
-  benchmark gate like any other slowdown; and
-* a plain assertion test (``test_vectorized_speedup_floor``) that runs in
-  the ordinary pytest pass and fails CI if the vectorized executor stops
-  beating the loop executor by at least 2x on the join/aggregate smoke
-  benches.  ``--benchmark-only`` runs skip it, so the gate's numbers stay
-  pure timings.
+pytest-benchmark cases (picked up by ``scripts/bench_gate.py``) time
+hot executions under both profiles and the raw kernels, so a regression
+in the kernels is caught by the benchmark gate like any other slowdown.
+Both profiles run the same host code; they differ only in what they
+charge to the simulated clock, so no host speedup between them is
+expected or asserted.
 """
-
-import statistics
-import time
 
 import numpy as np
 
@@ -43,20 +35,6 @@ def _join_builder(config):
 def _agg_builder(config):
     return aggregate_microbenchmark(n_rows=_AGG_ROWS, n_groups=64,
                                     config=config)
-
-
-def _wall_medians(builder, reps=5):
-    """Median host seconds per hot execute, for both executors."""
-    medians = {}
-    for executor in ("loop", "vectorized"):
-        micro = _hot_micro(builder, executor)
-        samples = []
-        for _ in range(reps):
-            start = time.perf_counter()
-            micro.run()
-            samples.append(time.perf_counter() - start)
-        medians[executor] = statistics.median(samples)
-    return medians
 
 
 def test_e23_join_loop(benchmark, report):
@@ -114,19 +92,3 @@ def test_e23_kernel_dict_encode(benchmark, report):
     report(f"dict_encode distinct={n_groups}")
     assert ids.size == _AGG_ROWS
 
-
-def test_vectorized_speedup_floor(report):
-    """CI floor: vectorized must beat loop by >= 2x host wall-clock
-    median on both the join and the aggregate smoke benches."""
-    lines = []
-    for name, builder in (("join", _join_builder),
-                          ("aggregate", _agg_builder)):
-        medians = _wall_medians(builder)
-        speedup = medians["loop"] / medians["vectorized"]
-        lines.append(f"{name}: loop {1e3 * medians['loop']:.2f}ms "
-                     f"vectorized {1e3 * medians['vectorized']:.2f}ms "
-                     f"speedup {speedup:.1f}x")
-        assert speedup >= 2.0, (
-            f"vectorized executor only {speedup:.2f}x faster than loop "
-            f"on the {name} smoke bench (floor is 2x): {medians}")
-    report("\n".join(lines))

@@ -2,7 +2,8 @@
 
 The 60-second tour of the framework:
 
-1. declare two-level factors (here: selectivity and execution mode);
+1. declare two-level factors (here: selectivity and the executor's
+   cost profile, per-row loop vs Volcano tuple-at-a-time);
 2. build a 2^k factorial design;
 3. run a MiniDB micro-benchmark at every design point under a documented
    hot-run protocol;
@@ -21,17 +22,15 @@ from repro.core import (
     estimate_effects,
     two_level,
 )
-from repro.db import EngineConfig, ExecutionMode
+from repro.db import EngineConfig
 from repro.workloads import select_microbenchmark
 
 
 def run_once(config):
     """One experiment: a selection micro-benchmark, simulated hot ms."""
-    mode = (ExecutionMode.COLUMN if config["mode"] == "column"
-            else ExecutionMode.TUPLE)
     bench = select_microbenchmark(
         n_rows=20_000, selectivity=config["selectivity"],
-        config=EngineConfig(mode=mode))
+        config=EngineConfig(executor=config["executor"]))
     bench.run()                       # warm-up: buffer pool now hot
     start = bench.engine.clock.now
     bench.run()                       # measured hot run
@@ -41,7 +40,7 @@ def run_once(config):
 def main():
     space = FactorSpace([
         two_level("selectivity", 0.01, 0.5),
-        two_level("mode", "column", "tuple"),
+        two_level("executor", "loop", "tuple"),
     ])
     design = TwoLevelFactorialDesign(space)
 

@@ -13,7 +13,6 @@ both act through them.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Optional
 
@@ -25,17 +24,49 @@ from repro.hardware.counters import HardwareCounters
 from repro.measurement.clocks import VirtualClock
 
 
-class ExecutionMode(enum.Enum):
-    """Engine execution style.
+@dataclass(frozen=True)
+class CostProfile:
+    """The cost constants one execution style charges.
 
-    COLUMN is MonetDB-like (vectorised primitives, negligible per-tuple
-    interpretation); TUPLE is the classical Volcano iterator model
-    (MySQL-like), paying an interpretation overhead for every tuple every
-    operator touches — the contrast slide 54's two profile traces show.
+    Every style runs the same host code, the kernels of
+    :mod:`repro.db.kernels`; a profile only decides what each charge
+    site charges to the simulated clock.  The tutorial's contrast of
+    tuple-at-a-time and column-at-a-time execution (slide 54; E05, E22,
+    E23) is a claim about the simulated machine, so it lives here.
     """
 
-    COLUMN = "column"
-    TUPLE = "tuple"
+    #: The ``executor`` value that selects this profile.
+    name: str
+    #: Charge the vectorized kernel constants (a launch cost per
+    #: operator plus the ``vector_*`` per-unit costs) instead of the
+    #: per-row loop constants.
+    kernels: bool = False
+    #: Filters pass on a selection vector and the gather is charged at
+    #: the next pipeline breaker; otherwise a kernel profile charges the
+    #: gather at the filter.
+    late_materialization: bool = False
+    #: Charge the Volcano per-tuple interpretation overhead (MySQL-like)
+    #: for every tuple every operator touches.
+    tuple_overhead: bool = False
+
+
+#: The execution styles by ``executor`` name, default first.
+COST_PROFILES = {profile.name: profile for profile in (
+    CostProfile("loop"),
+    CostProfile("tuple", tuple_overhead=True),
+    CostProfile("vectorized", kernels=True, late_materialization=True),
+    CostProfile("vectorized-eager", kernels=True),
+)}
+
+
+def cost_profile(executor: str) -> CostProfile:
+    """The profile named *executor*; unknown names fail fast."""
+    try:
+        return COST_PROFILES[executor]
+    except KeyError:
+        raise DatabaseError(
+            f"unknown executor {executor!r}; valid options: "
+            + ", ".join(repr(e) for e in COST_PROFILES)) from None
 
 
 @dataclass(frozen=True)
@@ -44,7 +75,7 @@ class CostParameters:
 
     The defaults approximate a 1.5 GHz Pentium M running an optimized
     build.  ``tuple_overhead_ns`` is the per-tuple, per-operator
-    interpretation cost paid only in TUPLE mode.
+    interpretation cost paid only under the ``tuple`` profile.
     """
 
     scan_ns_per_value: float = 10.0
@@ -103,10 +134,8 @@ class ExecutionContext:
                  clock: VirtualClock,
                  counters: Optional[HardwareCounters] = None,
                  build: Optional[BuildModel] = None,
-                 mode: ExecutionMode = ExecutionMode.COLUMN,
                  costs: Optional[CostParameters] = None,
                  executor: str = "loop",
-                 selection_vectors: bool = True,
                  cache=None,
                  zone_maps: bool = True,
                  radix_bits: Optional[int] = None):
@@ -116,15 +145,9 @@ class ExecutionContext:
         self.counters = counters if counters is not None \
             else buffer_pool.counters
         self.build = build if build is not None else BuildModel(BuildMode.OPT)
-        self.mode = mode
         self.costs = costs if costs is not None else CostParameters()
-        #: Which operator implementations run: "loop" (per-row Python,
-        #: the differential-testing oracle) or "vectorized"
-        #: (:mod:`repro.db.kernels`).
-        self.executor = executor
-        #: Whether the vectorized executor may defer materialisation by
-        #: carrying selection vectors between operators.
-        self.selection_vectors = selection_vectors
+        #: The execution style's :class:`CostProfile`.
+        self.profile = cost_profile(executor)
         #: Optional :class:`~repro.hardware.cache.CacheHierarchy`; when
         #: set, joins charge simulated memory-access latency on top of
         #: their per-row CPU cost (the memory wall becomes visible).
@@ -147,10 +170,10 @@ class ExecutionContext:
         self.clock.advance(cpu_seconds=scaled / 1e9)
 
     def charge_tuples(self, n_rows: int) -> None:
-        """Per-tuple interpretation overhead (TUPLE mode only)."""
+        """Per-tuple interpretation overhead (``tuple`` profile only)."""
         if n_rows < 0:
             raise DatabaseError("row count must be >= 0")
-        if self.mode is ExecutionMode.TUPLE and n_rows:
+        if self.profile.tuple_overhead and n_rows:
             self.charge_cpu("arithmetic",
                             n_rows * self.costs.tuple_overhead_ns)
 

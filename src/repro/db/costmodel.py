@@ -125,7 +125,7 @@ class CostModel:
 
 
 def _analytic_coefficients() -> Tuple[Tuple[str, OperatorCost], ...]:
-    """Defaults derived from CostParameters' loop-executor constants."""
+    """Defaults derived from CostParameters' ``loop`` profile constants."""
     from repro.db.context import CostParameters
     c = CostParameters()
     return tuple(sorted({

@@ -26,7 +26,8 @@ from repro.db.buffer import BufferPool
 from repro.db.context import (
     CostParameters,
     ExecutionContext,
-    ExecutionMode,
+    COST_PROFILES,
+    cost_profile,
 )
 from repro.db.disk import DiskModel
 from repro.db.indexes import HashIndex, IndexCatalog
@@ -59,18 +60,18 @@ class EngineConfig:
     """
 
     buffer_pages: int = 4096
-    mode: ExecutionMode = ExecutionMode.COLUMN
     build: BuildModel = field(default_factory=lambda: BuildModel(BuildMode.OPT))
     tuned: bool = True
     naive_joins: bool = False
     costs: CostParameters = field(default_factory=CostParameters)
     disk: DiskModel = field(default_factory=DiskModel)
-    #: Operator implementation: "loop" (per-row Python, the
-    #: differential-testing oracle) or "vectorized" (repro.db.kernels).
+    #: Execution style, charged as a cost profile
+    #: (:class:`~repro.db.context.CostProfile`) over one host
+    #: implementation: "loop" (per-row constants), "tuple" (loop plus
+    #: Volcano per-tuple overhead), "vectorized" (kernel constants,
+    #: late materialisation) or "vectorized-eager" (kernel constants,
+    #: every filter gathers its survivors at once).
     executor: str = "loop"
-    #: Let the vectorized executor defer filter materialisation by
-    #: passing selection vectors between operators.
-    selection_vectors: bool = True
     #: Reuse physical plans across textually-equivalent statements
     #: (keyed on normalised SQL + catalog versions).  Off by default so
     #: profiling still observes parse/optimize phases.
@@ -97,14 +98,11 @@ class EngineConfig:
     #: partitions to the cache automatically); E28 sweeps this knob.
     radix_bits: Optional[int] = None
 
-    VALID_EXECUTORS = ("loop", "vectorized")
+    VALID_EXECUTORS = tuple(COST_PROFILES)
     VALID_OPTIMIZERS = ("heuristic", "cost")
 
     def __post_init__(self):
-        if self.executor not in self.VALID_EXECUTORS:
-            raise DatabaseError(
-                f"unknown executor {self.executor!r}; valid options: "
-                + ", ".join(repr(e) for e in self.VALID_EXECUTORS))
+        cost_profile(self.executor)
         if self.optimizer not in self.VALID_OPTIMIZERS:
             raise DatabaseError(
                 f"unknown optimizer {self.optimizer!r}; valid options: "
@@ -284,10 +282,9 @@ class Engine:
         return ExecutionContext(
             database=self.database, buffer_pool=self.buffer_pool,
             clock=self.clock, counters=self.counters,
-            build=self.config.build, mode=self.config.mode,
+            build=self.config.build,
             costs=self.config.costs,
             executor=self.config.executor,
-            selection_vectors=self.config.selection_vectors,
             cache=self.cache,
             zone_maps=self.config.zone_maps,
             radix_bits=self.config.radix_bits)
@@ -498,7 +495,6 @@ class Engine:
             "build_mode": config.build.mode.value,
             "tuned": str(config.tuned),
             "plan_cache": str(config.plan_cache),
-            "selection_vectors": str(config.selection_vectors),
             "cost_model": ("calibrated" if config.cost_model is not None
                            else "default"),
             "cache_model": (f"l2={config.cache_model.l2_kb}KB"

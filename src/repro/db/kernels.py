@@ -1,9 +1,11 @@
 """Vectorized execution kernels for MiniDB.
 
-This module is the loop-free half of the executor: every per-row Python
-loop in :mod:`repro.db.operators` has a NumPy twin here, in the
-MonetDB/X100 column-at-a-time style the tutorial's profiling slides
-contrast against tuple-at-a-time interpretation.
+These are the host implementation of every operator in
+:mod:`repro.db.operators`, in the MonetDB/X100 column-at-a-time style.
+The tutorial's contrast with tuple-at-a-time interpretation is charged
+to the simulated clock as cost profiles
+(:class:`~repro.db.context.CostProfile`); the host code is the same
+under every profile.
 
 Kernel inventory
 ----------------
@@ -12,15 +14,15 @@ Kernel inventory
 - :func:`encode_join_keys` — the same encoding applied jointly to both
   sides of an equi-join, so equal keys get equal codes across sides;
 - :func:`join_match` — sort-based equi-join matching emitting
-  ``(left_idx, right_idx)`` gather arrays, left-major like the loop
-  executor (stable ``np.argsort`` + two ``np.searchsorted`` sweeps);
+  ``(left_idx, right_idx)`` gather arrays in left-major order
+  (stable ``np.argsort`` + two ``np.searchsorted`` sweeps);
 - :func:`merge_match` — the already-sorted variant (no argsort pass);
 - :func:`grouped_reduce` — grouped SUM/MIN/MAX via ``np.argsort`` +
   ``np.add.reduceat`` / ``np.minimum.reduceat`` / ``np.maximum.reduceat``;
 - :func:`group_count` / :func:`group_first_index` — grouped COUNT and
   first-occurrence representative rows;
-- :func:`first_occurrence_order` — DISTINCT keeping loop-identical
-  first-occurrence row order;
+- :func:`first_occurrence_order` — DISTINCT keeping first-occurrence
+  row order;
 - :func:`compile_expr` — expression compilation with a process-wide
   cache keyed by the (frozen, hashable) expression tree.
 
@@ -179,7 +181,7 @@ def dict_encode(columns: Sequence[np.ndarray]
     composite key of row ``i`` and every id in ``[0, n_codes)`` occurs.
     Ids are assigned in ascending composite-key order (NumPy's sort
     order per column), so grouped output produced from these codes is
-    key-sorted — unlike the loop executor's first-occurrence order.
+    key-sorted.
     """
     if not columns:
         raise PlanError("dict_encode needs at least one key column")
@@ -226,9 +228,9 @@ def join_match(left_codes: np.ndarray, right_codes: np.ndarray
                ) -> Tuple[np.ndarray, np.ndarray]:
     """All (left, right) index pairs with equal codes, left-major.
 
-    Output order matches the loop executor's hash join exactly: left
-    indices ascending, and for one left row its matching right indices
-    ascending (the stable argsort keeps equal codes in input order).
+    Output order is left-major: left indices ascending, and for one
+    left row its matching right indices ascending (the stable argsort
+    keeps equal codes in input order).
     """
     with maybe_span("kernel.join_match", "kernel",
                     left=int(left_codes.size),
@@ -430,7 +432,7 @@ def group_first_index(group_ids: np.ndarray, n_groups: int) -> np.ndarray:
 def first_occurrence_order(columns: Sequence[np.ndarray]
                            ) -> np.ndarray:
     """Row indices of the first occurrence of each distinct row,
-    ascending — the loop executor's DISTINCT order, loop-free."""
+    ascending — DISTINCT's output order."""
     n = len(columns[0]) if columns else 0
     with maybe_span("kernel.first_occurrence", "kernel", rows=n):
         if n == 0:
@@ -570,7 +572,7 @@ def _build_compiled(expr: Expr) -> CompiledExpr:
 
 
 # ---------------------------------------------------------------------------
-# Cost accounting helpers shared by the vectorized operator paths
+# Cost accounting helpers shared by the operators
 # ---------------------------------------------------------------------------
 
 def charge_gather(ctx, n_rows: int, n_columns: int) -> None:
@@ -586,8 +588,3 @@ def materialize_charged(ctx, batch):
         charge_gather(ctx, batch.rows(), len(batch.base))
         return gather(batch.base, batch.sel)
     return batch
-
-
-def normalize_keys(columns: Sequence[np.ndarray]) -> List[np.ndarray]:
-    """Key columns as ndarrays (defensive copy-free passthrough)."""
-    return [np.asarray(c) for c in columns]

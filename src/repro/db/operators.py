@@ -4,13 +4,17 @@ Every operator performs real computation on numpy column batches *and*
 charges simulated cost to the execution context:
 
 - CPU nanoseconds per value/row, routed through the DBG/OPT build model;
-- per-tuple interpretation overhead when the engine runs in TUPLE
-  (Volcano) mode;
+- per-tuple interpretation overhead under the ``tuple`` (Volcano)
+  profile;
 - I/O through the buffer pool (scans only).
 
-This dual nature is what lets the benchmark suite reproduce the
-tutorial's timing tables deterministically while tests validate results
-against plain-numpy oracles.
+Each operator has one host implementation, built on the kernels of
+:mod:`repro.db.kernels`.  The execution styles the tutorial contrasts —
+per-row loop, Volcano tuples, vectorized — are cost profiles
+(:class:`~repro.db.context.CostProfile`): they choose what each charge
+site charges, never which code runs.  This dual nature is what lets the
+benchmark suite reproduce the tutorial's timing tables deterministically
+while tests validate results against SQLite.
 """
 
 from __future__ import annotations
@@ -29,20 +33,12 @@ from repro.db.types import DataType
 from repro.errors import PlanError
 
 
-def _vectorized(ctx) -> bool:
-    """True when the context selects the kernel-based executor.
-
-    ``getattr`` keeps internal delegating contexts (e.g. the nested-loop
-    join's null-cost wrapper) transparent.
-    """
-    return getattr(ctx, "executor", "loop") == "vectorized"
-
-
 def _kernel_extras(ctx) -> List[str]:
-    """The ``kernel=`` EXPLAIN annotation for vectorizable operators."""
+    """The ``kernel=`` EXPLAIN annotation: which constants the operator
+    charges (the per-row loop ones or the vectorized kernel ones)."""
     if ctx is None:
         return []
-    return [f"kernel={'vectorized' if _vectorized(ctx) else 'loop'}"]
+    return [f"kernel={'vectorized' if ctx.profile.kernels else 'loop'}"]
 
 
 def _predicate_view(batch, columns: Sequence[str], n: int,
@@ -59,16 +55,46 @@ def _predicate_view(batch, columns: Sequence[str], n: int,
     return kernels.gather(base, sel, list(columns))
 
 
+def _join_schema(node: PlanNode, ctx: ExecutionContext,
+                 right_keys: Sequence[str]) -> Dict[str, DataType]:
+    """Output columns of an equi-join: left's, then right's, keeping one
+    copy of a key both sides name alike."""
+    out = dict(node.children[0].schema(ctx))
+    for name, dtype in node.children[1].schema(ctx).items():
+        if name in out:
+            if name in right_keys:
+                continue  # equal to the left key; keep one copy
+            raise PlanError(
+                f"join would produce duplicate column {name!r}")
+        out[name] = dtype
+    return out
+
+
+def _join_output(left: Batch, right: Batch, li: np.ndarray,
+                 ri: np.ndarray, right_keys: Sequence[str]) -> Batch:
+    """Gather the matched ``(li, ri)`` row pairs into one batch."""
+    out: Batch = {name: arr[li] for name, arr in left.items()}
+    for name, arr in right.items():
+        if name in out:
+            if name in right_keys:
+                continue
+            raise PlanError(
+                f"join would produce duplicate column {name!r}")
+        out[name] = arr[ri]
+    return out
+
+
 class SeqScan(PlanNode):
     """Sequential scan of a base table through the buffer pool.
 
     When the planner pushes a filter down onto the scan
     (:attr:`prune_for`), the scan consults the table's zone maps first
     and skips every block the predicate can never match — the pruned
-    blocks' I/O and scan CPU are never charged, and in the vectorized
-    engine the surviving rows travel as a selection vector so non-filter
-    columns materialise late.  Dictionary-encoded columns read their
-    (smaller) code + dictionary footprint instead of raw values.
+    blocks' I/O and scan CPU are never charged, and under the
+    ``vectorized`` profile the surviving rows travel as a selection
+    vector so non-filter columns materialise late.  Dictionary-encoded
+    columns read their (smaller) code + dictionary footprint instead of
+    raw values.
     """
 
     category = "scan"
@@ -100,7 +126,7 @@ class SeqScan(PlanNode):
 
     def _verdicts(self, ctx, table):
         """Zone-map verdicts for the pushed-down predicate (or None)."""
-        if self.prune_for is None or not getattr(ctx, "zone_maps", True):
+        if self.prune_for is None or not ctx.zone_maps:
             return None
         from repro.db import zonemaps
         return zonemaps.block_verdicts(table, self.prune_for)
@@ -158,9 +184,9 @@ class SeqScan(PlanNode):
         base = {name: table.column(name).data for name in names}
         if survivors is None:
             return base
-        if _vectorized(ctx) and getattr(ctx, "selection_vectors", False):
-            # Late materialization: survivors ride as a selection vector
-            # until a pipeline breaker gathers the payload columns.
+        if ctx.profile.late_materialization:
+            # Survivors ride as a selection vector until a pipeline
+            # breaker gathers the payload columns.
             return kernels.SelBatch(base, survivors)
         return {name: arr[survivors] for name, arr in base.items()}
 
@@ -219,51 +245,37 @@ class Filter(PlanNode):
         needed = sorted(self.predicate.columns())
         require_columns(batch, needed, self.name())
         n = batch_rows(batch)
-        if _vectorized(ctx):
-            return self._run_vectorized(ctx, batch, needed, n)
-        ctx.charge_cpu(self.category,
-                       ctx.costs.filter_ns_per_value * n
-                       * self.predicate.node_count())
+        costs = ctx.costs
+        if ctx.profile.kernels:
+            ctx.charge_cpu(self.category,
+                           costs.kernel_launch_ns
+                           + costs.vector_filter_ns_per_value * n
+                           * self.predicate.node_count())
+            self.span_extras["kernel"] = "filter.vector"
+        else:
+            ctx.charge_cpu(self.category,
+                           costs.filter_ns_per_value * n
+                           * self.predicate.node_count())
         ctx.charge_tuples(n)
         proof = self._zone_shortcircuit()
         if proof is not None:
             # Zone maps already decided every surviving row ("all") or
-            # pruned every block ("none" — the batch is empty): skip the
-            # per-row predicate evaluation entirely.
-            self.span_extras["zone"] = proof
-            return batch
-        mask = np.asarray(self.predicate.evaluate(batch), dtype=bool)
-        if n and bool(mask.all()):
-            # All rows survive: the input batch is already the answer
-            # (tuple costs above were charged on all n rows either way).
-            return batch
-        return {name: arr[mask] for name, arr in batch.items()}
-
-    def _run_vectorized(self, ctx: ExecutionContext, batch,
-                        needed: Sequence[str], n: int) -> Batch:
-        costs = ctx.costs
-        ctx.charge_cpu(self.category,
-                       costs.kernel_launch_ns
-                       + costs.vector_filter_ns_per_value * n
-                       * self.predicate.node_count())
-        ctx.charge_tuples(n)
-        self.span_extras["kernel"] = "filter.vector"
-        proof = self._zone_shortcircuit()
-        if proof is not None:
-            # Same short-circuit as the loop path: no predicate compile,
-            # no evaluation, when zone maps proved the outcome.
+            # pruned every block ("none" — the batch is empty): skip
+            # compiling and evaluating the predicate entirely.
             self.span_extras["zone"] = proof
             return batch
         view = _predicate_view(batch, needed, n, ctx)
         mask = np.asarray(kernels.compile_expr(self.predicate)(view),
                           dtype=bool)
         if n and bool(mask.all()):
+            # All rows survive: the input batch is already the answer.
             return batch
         base, sel = kernels.split_batch(batch)
         new_sel = np.flatnonzero(mask) if sel is None else sel[mask]
-        if getattr(ctx, "selection_vectors", False):
+        if ctx.profile.late_materialization:
             return kernels.SelBatch(base, new_sel)
-        kernels.charge_gather(ctx, int(new_sel.size), len(base))
+        if ctx.profile.kernels:
+            kernels.charge_gather(ctx, int(new_sel.size), len(base))
         return kernels.gather(base, new_sel)
 
 
@@ -300,36 +312,26 @@ class Project(PlanNode):
 
     def _run(self, ctx: ExecutionContext,
              child_batches: List[Batch]) -> Batch:
-        batch = child_batches[0]
-        n = batch_rows(batch)
-        if _vectorized(ctx):
-            return self._run_vectorized(ctx, batch, n)
-        out: Batch = {}
-        for expr, alias in self.items:
-            ctx.charge_cpu(expr.cost_category(),
-                           ctx.costs.project_ns_per_value * n
-                           * expr.node_count())
-            out[alias] = np.asarray(expr.evaluate(batch))
-        ctx.charge_tuples(n)
-        return out
-
-    def _run_vectorized(self, ctx: ExecutionContext, batch,
-                        n: int) -> Batch:
         # Projection is a gather point: referenced columns materialise
         # here, computed outputs are fresh arrays either way.
+        batch = child_batches[0]
+        n = batch_rows(batch)
         costs = ctx.costs
         referenced = sorted(set().union(
             *(expr.columns() for expr, __ in self.items)))
         view = _predicate_view(batch, referenced, n, ctx)
-        ctx.charge_cpu("arithmetic", costs.kernel_launch_ns)
+        if ctx.profile.kernels:
+            ctx.charge_cpu("arithmetic", costs.kernel_launch_ns)
+            self.span_extras["kernel"] = "project.vector"
+            per_value = costs.vector_project_ns_per_value
+        else:
+            per_value = costs.project_ns_per_value
         out: Batch = {}
         for expr, alias in self.items:
             ctx.charge_cpu(expr.cost_category(),
-                           costs.vector_project_ns_per_value * n
-                           * expr.node_count())
+                           per_value * n * expr.node_count())
             out[alias] = np.asarray(kernels.compile_expr(expr)(view))
         ctx.charge_tuples(n)
-        self.span_extras["kernel"] = "project.vector"
         return out
 
 
@@ -356,17 +358,7 @@ class HashJoin(PlanNode):
         return f"HashJoin({pairs})"
 
     def schema(self, ctx: ExecutionContext) -> Dict[str, DataType]:
-        left = self.children[0].schema(ctx)
-        right = self.children[1].schema(ctx)
-        out = dict(left)
-        for name, dtype in right.items():
-            if name in out:
-                if name in self.right_keys:
-                    continue  # equal to the left key; keep one copy
-                raise PlanError(
-                    f"join would produce duplicate column {name!r}")
-            out[name] = dtype
-        return out
+        return _join_schema(self, ctx, self.right_keys)
 
     def estimated_rows(self, ctx: ExecutionContext) -> float:
         left = self.children[0].estimated_rows(ctx)
@@ -374,27 +366,22 @@ class HashJoin(PlanNode):
         # Foreign-key-style estimate: output bounded by the probe side.
         return max(left, right) if min(left, right) else 0.0
 
-    def choose_build_side(self, ctx, n_left: int, n_right: int) -> str:
+    def choose_build_side(self, ctx) -> str:
         """Build the hash table on the estimated-smaller input.
 
-        Ties keep the classic build-right layout.  The internal
-        childless helper (see :class:`NestedLoopJoin`) falls back to
-        actual batch sizes.
+        Ties keep the classic build-right layout.
         """
         if self.forced_build_side is not None:
             return self.forced_build_side
-        if len(self.children) == 2 and ctx is not None:
-            est_left = self.children[0].estimated_rows_safe(ctx)
-            est_right = self.children[1].estimated_rows_safe(ctx)
-        else:
-            est_left, est_right = float(n_left), float(n_right)
+        est_left = self.children[0].estimated_rows_safe(ctx)
+        est_right = self.children[1].estimated_rows_safe(ctx)
         return "left" if est_left < est_right else "right"
 
     def explain_extras(self, ctx) -> List[str]:
         extras = _kernel_extras(ctx)
         build = self.span_extras.get("build_side")
         if build is None and ctx is not None:
-            build = self.choose_build_side(ctx, 0, 0)
+            build = self.choose_build_side(ctx)
         if build is not None:
             extras.append(f"build={build}")
         return extras
@@ -404,45 +391,32 @@ class HashJoin(PlanNode):
         left, right = child_batches
         require_columns(left, self.left_keys, self.name() + " (left)")
         require_columns(right, self.right_keys, self.name() + " (right)")
-        if _vectorized(ctx):
-            left = kernels.materialize_charged(ctx, left)
-            right = kernels.materialize_charged(ctx, right)
+        left = kernels.materialize_charged(ctx, left)
+        right = kernels.materialize_charged(ctx, right)
         n_left, n_right = batch_rows(left), batch_rows(right)
-        build_side = self.choose_build_side(ctx, n_left, n_right)
+        build_side = self.choose_build_side(ctx)
         n_build = n_left if build_side == "left" else n_right
         self.span_extras["build_side"] = build_side
         # Hash table: roughly one 8-byte slot + entry per build row.
         self.aux_bytes = kernels.HASH_TABLE_BYTES_PER_ROW * n_build
         ctx.charge_tuples(n_left + n_right)
         self._charge_access(ctx, n_left, n_right, n_build)
-
-        if _vectorized(ctx):
+        costs = ctx.costs
+        if ctx.profile.kernels:
             ctx.charge_cpu("hash",
-                           ctx.costs.kernel_launch_ns
-                           + ctx.costs.vector_join_ns_per_row
+                           costs.kernel_launch_ns
+                           + costs.vector_join_ns_per_row
                            * (n_left + n_right))
             self.span_extras["kernel"] = "join.vector"
-            left_codes, right_codes = kernels.encode_join_keys(
-                [left[k] for k in self.left_keys],
-                [right[k] for k in self.right_keys])
-            li, ri = self._vector_match(ctx, left_codes, right_codes)
         else:
-            ctx.charge_cpu("hash",
-                           ctx.costs.hash_build_ns_per_row * n_build)
-            ctx.charge_cpu("hash", ctx.costs.hash_probe_ns_per_row
+            ctx.charge_cpu("hash", costs.hash_build_ns_per_row * n_build)
+            ctx.charge_cpu("hash", costs.hash_probe_ns_per_row
                            * (n_left + n_right - n_build))
-            li, ri = self._loop_match(left, right, n_left, n_right,
-                                      build_side)
-
-        out: Batch = {name: arr[li] for name, arr in left.items()}
-        for name, arr in right.items():
-            if name in out:
-                if name in self.right_keys:
-                    continue
-                raise PlanError(
-                    f"join would produce duplicate column {name!r}")
-            out[name] = arr[ri]
-        return out
+        left_codes, right_codes = kernels.encode_join_keys(
+            [left[k] for k in self.left_keys],
+            [right[k] for k in self.right_keys])
+        li, ri = self._match(ctx, left_codes, right_codes)
+        return _join_output(left, right, li, ri, self.right_keys)
 
     def _charge_access(self, ctx, n_left: int, n_right: int,
                        n_build: int) -> None:
@@ -453,7 +427,7 @@ class HashJoin(PlanNode):
         build input, so an out-of-cache build pays memory latency on
         (almost) every probe — the effect the radix join removes.
         """
-        cache = getattr(ctx, "cache", None)
+        cache = ctx.cache
         if cache is None:
             return
         working_set = max(1, kernels.HASH_TABLE_BYTES_PER_ROW * n_build)
@@ -462,50 +436,9 @@ class HashJoin(PlanNode):
                                     working_set)
         ctx.charge_cpu("hash", ns)
 
-    def _vector_match(self, ctx, left_codes: np.ndarray,
-                      right_codes: np.ndarray
-                      ) -> Tuple[np.ndarray, np.ndarray]:
+    def _match(self, ctx, left_codes: np.ndarray,
+               right_codes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         return kernels.join_match(left_codes, right_codes)
-
-    def _loop_match(self, left: Batch, right: Batch, n_left: int,
-                    n_right: int, build_side: str
-                    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-row hash matching; output pairs are always left-major
-        (left index ascending, right matches ascending) regardless of
-        which side the hash table was built on."""
-        left_key_cols = [left[k] for k in self.left_keys]
-        right_key_cols = [right[k] for k in self.right_keys]
-        left_idx: List[int] = []
-        right_idx: List[int] = []
-        if build_side == "right":
-            build: Dict[tuple, List[int]] = {}
-            for i in range(n_right):
-                key = tuple(col[i] for col in right_key_cols)
-                build.setdefault(key, []).append(i)
-            for i in range(n_left):
-                key = tuple(col[i] for col in left_key_cols)
-                matches = build.get(key)
-                if matches:
-                    left_idx.extend([i] * len(matches))
-                    right_idx.extend(matches)
-            return (np.asarray(left_idx, dtype=np.int64),
-                    np.asarray(right_idx, dtype=np.int64))
-        build = {}
-        for i in range(n_left):
-            key = tuple(col[i] for col in left_key_cols)
-            build.setdefault(key, []).append(i)
-        for j in range(n_right):
-            key = tuple(col[j] for col in right_key_cols)
-            matches = build.get(key)
-            if matches:
-                left_idx.extend(matches)
-                right_idx.extend([j] * len(matches))
-        li = np.asarray(left_idx, dtype=np.int64)
-        ri = np.asarray(right_idx, dtype=np.int64)
-        # Probing with the right side emits right-major pairs; restore
-        # the executor's canonical left-major order.
-        order = np.lexsort((ri, li))
-        return li[order], ri[order]
 
 
 class RadixHashJoin(HashJoin):
@@ -517,8 +450,7 @@ class RadixHashJoin(HashJoin):
     probes hit cache-resident tables instead of paying memory latency
     per row.  The output is byte-identical to :class:`HashJoin`'s
     left-major result; only the access pattern (and hence the simulated
-    cost) differs.  The loop executor reuses the per-row oracle match
-    while charging the radix cost profile.
+    cost) differs.
     """
 
     def __init__(self, left: PlanNode, right: PlanNode,
@@ -537,10 +469,10 @@ class RadixHashJoin(HashJoin):
 
     def _bits_for(self, ctx, n_build: int) -> int:
         forced = self.radix_bits if self.radix_bits is not None \
-            else getattr(ctx, "radix_bits", None)
+            else ctx.radix_bits
         if forced is not None:
             return max(0, min(int(forced), kernels.MAX_RADIX_BITS))
-        cache = getattr(ctx, "cache", None)
+        cache = ctx.cache
         if cache is not None and cache.levels:
             cache_bytes = cache.levels[-1].size_bytes
         else:
@@ -551,8 +483,8 @@ class RadixHashJoin(HashJoin):
     def explain_extras(self, ctx) -> List[str]:
         extras = super().explain_extras(ctx)
         bits = self.span_extras.get("radix_bits")
-        if bits is None and ctx is not None and len(self.children) == 2:
-            build = self.choose_build_side(ctx, 0, 0)
+        if bits is None and ctx is not None:
+            build = self.choose_build_side(ctx)
             child = self.children[0 if build == "left" else 1]
             bits = self._bits_for(ctx, int(child.estimated_rows_safe(ctx)))
         if bits is not None:
@@ -577,7 +509,7 @@ class RadixHashJoin(HashJoin):
                 passes * costs.radix_partition_ns_per_row
                 * (n_left + n_right)
                 + (1 << bits) * costs.radix_partition_setup_ns)
-        cache = getattr(ctx, "cache", None)
+        cache = ctx.cache
         if cache is None:
             return
         ns = 0.0
@@ -591,10 +523,10 @@ class RadixHashJoin(HashJoin):
                                     working_set)
         ctx.charge_cpu("hash", ns)
 
-    def _vector_match(self, ctx, left_codes: np.ndarray,
-                      right_codes: np.ndarray
-                      ) -> Tuple[np.ndarray, np.ndarray]:
-        self.span_extras["kernel"] = "join.radix"
+    def _match(self, ctx, left_codes: np.ndarray,
+               right_codes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        if ctx.profile.kernels:
+            self.span_extras["kernel"] = "join.radix"
         return kernels.radix_join_match(left_codes, right_codes,
                                         self._last_bits)
 
@@ -619,8 +551,7 @@ class NestedLoopJoin(PlanNode):
         return f"NestedLoopJoin({pairs})"
 
     def schema(self, ctx: ExecutionContext) -> Dict[str, DataType]:
-        return HashJoin(self.children[0], self.children[1],
-                        self.left_keys, self.right_keys).schema(ctx)
+        return _join_schema(self, ctx, self.right_keys)
 
     def estimated_rows(self, ctx: ExecutionContext) -> float:
         left = self.children[0].estimated_rows(ctx)
@@ -636,33 +567,17 @@ class NestedLoopJoin(PlanNode):
                        ctx.costs.filter_ns_per_value * n_left * n_right)
         ctx.charge_tuples(n_left * max(1, n_right) if n_left and n_right
                           else n_left + n_right)
-        # Compute the same result as a hash join (correctness first).
-        helper = HashJoin.__new__(HashJoin)
-        PlanNode.__init__(helper, [])
-        helper.left_keys = self.left_keys
-        helper.right_keys = self.right_keys
-        helper.forced_build_side = None
-        return HashJoin._run(helper, _NullCostContext(ctx), [left, right])
-
-
-class _NullCostContext:
-    """Delegates everything but swallows cost charges (internal reuse)."""
-
-    #: The helper join must not touch the cache model either: the outer
-    #: operator already accounts for its own access pattern.
-    cache = None
-
-    def __init__(self, inner: ExecutionContext):
-        self._inner = inner
-
-    def charge_cpu(self, category: str, ns: float) -> None:
-        pass
-
-    def charge_tuples(self, n_rows: int) -> None:
-        pass
-
-    def __getattr__(self, item):
-        return getattr(self._inner, item)
+        # The rows are matched by hashing (correctness first); the
+        # quadratic charge above already covers all of that work,
+        # gathers included.
+        left, right = kernels.materialize(left), kernels.materialize(right)
+        require_columns(left, self.left_keys, self.name() + " (left)")
+        require_columns(right, self.right_keys, self.name() + " (right)")
+        left_codes, right_codes = kernels.encode_join_keys(
+            [left[k] for k in self.left_keys],
+            [right[k] for k in self.right_keys])
+        li, ri = kernels.join_match(left_codes, right_codes)
+        return _join_output(left, right, li, ri, self.right_keys)
 
 
 class AggFunc(enum.Enum):
@@ -731,63 +646,22 @@ class Aggregate(PlanNode):
 
     def _run(self, ctx: ExecutionContext,
              child_batches: List[Batch]) -> Batch:
-        batch = child_batches[0]
-        if _vectorized(ctx):
-            return self._run_vectorized(
-                ctx, kernels.materialize_charged(ctx, batch))
-        n = batch_rows(batch)
-        ctx.charge_cpu("hash", ctx.costs.group_ns_per_row * n)
-        ctx.charge_cpu("arithmetic",
-                       ctx.costs.agg_ns_per_value * n
-                       * max(1, len(self.aggregates)))
-        ctx.charge_tuples(n)
-
-        if self.group_by:
-            group_ids, group_keys = self._group(batch, n)
-            self.aux_bytes = 48 * len(group_keys) + 8 * n
-        else:
-            # A global aggregate always produces exactly one row, even
-            # over empty input (COUNT(*) = 0), per SQL semantics.
-            group_ids = np.zeros(n, dtype=np.int64)
-            group_keys = {(): 0}
-        n_groups = len(group_keys)
-        child_schema = self.children[0].schema(ctx)
-
-        out: Batch = {}
-        ordered = sorted(group_keys.items(), key=lambda kv: kv[1])
-        for pos, key_name in enumerate(self.group_by):
-            values = [key for key, __ in ordered]
-            dtype = child_schema[key_name]
-            if dtype is DataType.STRING:
-                col = np.empty(n_groups, dtype=object)
-                for i, key in enumerate(values):
-                    col[i] = key[pos]
-            else:
-                col = np.asarray([key[pos] for key in values],
-                                 dtype=dtype.numpy_dtype)
-            out[key_name] = col
-
-        for func, expr, alias in self.aggregates:
-            values = self._aggregate(func, expr, batch, group_ids, n_groups)
-            if func is AggFunc.COUNT:
-                values = values.astype(np.int64)
-            elif func is not AggFunc.AVG and expr is not None \
-                    and expr.dtype(child_schema) is DataType.INT64:
-                values = values.astype(np.int64)
-            out[alias] = values
-        return out
-
-    def _run_vectorized(self, ctx: ExecutionContext,
-                        batch: Batch) -> Batch:
+        batch = kernels.materialize_charged(ctx, child_batches[0])
         n = batch_rows(batch)
         costs = ctx.costs
-        ctx.charge_cpu("hash", costs.kernel_launch_ns
-                       + costs.vector_group_ns_per_row * n)
-        ctx.charge_cpu("arithmetic",
-                       costs.vector_agg_ns_per_value * n
-                       * max(1, len(self.aggregates)))
+        if ctx.profile.kernels:
+            ctx.charge_cpu("hash", costs.kernel_launch_ns
+                           + costs.vector_group_ns_per_row * n)
+            ctx.charge_cpu("arithmetic",
+                           costs.vector_agg_ns_per_value * n
+                           * max(1, len(self.aggregates)))
+            self.span_extras["kernel"] = "aggregate.vector"
+        else:
+            ctx.charge_cpu("hash", costs.group_ns_per_row * n)
+            ctx.charge_cpu("arithmetic",
+                           costs.agg_ns_per_value * n
+                           * max(1, len(self.aggregates)))
         ctx.charge_tuples(n)
-        self.span_extras["kernel"] = "aggregate.vector"
         child_schema = self.children[0].schema(ctx)
 
         out: Batch = {}
@@ -796,18 +670,18 @@ class Aggregate(PlanNode):
                 [batch[k] for k in self.group_by])
             self.aux_bytes = 48 * n_groups + 8 * n
             # Representative row per group: output is key-sorted (the
-            # dictionary codes ascend with the composite key), unlike
-            # the loop executor's first-occurrence order.
+            # dictionary codes ascend with the composite key).
             first = kernels.group_first_index(group_ids, n_groups)
             for key_name in self.group_by:
                 out[key_name] = batch[key_name][first]
         else:
+            # A global aggregate always produces exactly one row, even
+            # over empty input (COUNT(*) = 0), per SQL semantics.
             group_ids = np.zeros(n, dtype=np.int64)
             n_groups = 1
 
         for func, expr, alias in self.aggregates:
-            values = self._aggregate_vectorized(func, expr, batch,
-                                                group_ids, n_groups)
+            values = self._reduce(func, expr, batch, group_ids, n_groups)
             if func is AggFunc.COUNT:
                 values = values.astype(np.int64)
             elif func is not AggFunc.AVG and expr is not None \
@@ -817,10 +691,10 @@ class Aggregate(PlanNode):
         return out
 
     @staticmethod
-    def _aggregate_vectorized(func: AggFunc, expr: Optional[Expr],
-                              batch: Batch, group_ids: np.ndarray,
-                              n_groups: int) -> np.ndarray:
+    def _reduce(func: AggFunc, expr: Optional[Expr], batch: Batch,
+                group_ids: np.ndarray, n_groups: int) -> np.ndarray:
         if n_groups == 0:
+            # Grouped aggregation over empty input: zero output rows.
             return np.zeros(0, dtype=np.float64)
         if func is AggFunc.COUNT:
             return kernels.group_count(group_ids, n_groups)
@@ -828,8 +702,8 @@ class Aggregate(PlanNode):
                             dtype=np.float64)
         if values.size == 0:
             # Only the global aggregate reaches here with zero rows
-            # (dense grouped ids imply populated groups); match the
-            # loop executor's SQL identities over empty input.
+            # (dense grouped ids imply populated groups): the SQL
+            # identities over empty input.
             fill = {AggFunc.SUM: 0.0, AggFunc.AVG: 0.0,
                     AggFunc.MIN: np.inf, AggFunc.MAX: -np.inf}[func]
             return np.full(n_groups, fill, dtype=np.float64)
@@ -843,42 +717,6 @@ class Aggregate(PlanNode):
             return sums / np.maximum(counts, 1)
         op = "min" if func is AggFunc.MIN else "max"
         return kernels.grouped_reduce(values, group_ids, n_groups, op)
-
-    def _group(self, batch: Batch, n: int):
-        key_cols = [batch[k] for k in self.group_by]
-        group_keys: Dict[tuple, int] = {}
-        group_ids = np.empty(n, dtype=np.int64)
-        for i in range(n):
-            key = tuple(col[i] for col in key_cols)
-            gid = group_keys.get(key)
-            if gid is None:
-                gid = len(group_keys)
-                group_keys[key] = gid
-            group_ids[i] = gid
-        return group_ids, group_keys
-
-    @staticmethod
-    def _aggregate(func: AggFunc, expr: Optional[Expr], batch: Batch,
-                   group_ids: np.ndarray, n_groups: int) -> np.ndarray:
-        if n_groups == 0:
-            # Grouped aggregation over empty input: zero output rows.
-            return np.zeros(0, dtype=np.float64)
-        if func is AggFunc.COUNT:
-            counts = np.bincount(group_ids, minlength=n_groups)
-            return counts.astype(np.int64)
-        values = np.asarray(expr.evaluate(batch), dtype=np.float64)
-        if func is AggFunc.SUM or func is AggFunc.AVG:
-            sums = np.bincount(group_ids, weights=values,
-                               minlength=n_groups)
-            if func is AggFunc.SUM:
-                return sums
-            counts = np.bincount(group_ids, minlength=n_groups)
-            return sums / np.maximum(counts, 1)
-        fill = np.inf if func is AggFunc.MIN else -np.inf
-        out = np.full(n_groups, fill, dtype=np.float64)
-        ufunc = np.minimum if func is AggFunc.MIN else np.maximum
-        ufunc.at(out, group_ids, values)
-        return out
 
 
 class MergeJoin(PlanNode):
@@ -903,8 +741,7 @@ class MergeJoin(PlanNode):
         return f"MergeJoin({self.left_key}={self.right_key})"
 
     def schema(self, ctx: ExecutionContext) -> Dict[str, DataType]:
-        return HashJoin(self.children[0], self.children[1],
-                        [self.left_key], [self.right_key]).schema(ctx)
+        return _join_schema(self, ctx, (self.right_key,))
 
     def estimated_rows(self, ctx: ExecutionContext) -> float:
         left = self.children[0].estimated_rows(ctx)
@@ -925,74 +762,30 @@ class MergeJoin(PlanNode):
         left, right = child_batches
         require_columns(left, [self.left_key], self.name() + " (left)")
         require_columns(right, [self.right_key], self.name() + " (right)")
-        if _vectorized(ctx):
-            left = kernels.materialize_charged(ctx, left)
-            right = kernels.materialize_charged(ctx, right)
+        left = kernels.materialize_charged(ctx, left)
+        right = kernels.materialize_charged(ctx, right)
         lk = left[self.left_key]
         rk = right[self.right_key]
         self._check_sorted(lk, "left")
         self._check_sorted(rk, "right")
         n_left, n_right = len(lk), len(rk)
         ctx.charge_tuples(n_left + n_right)
-        cache = getattr(ctx, "cache", None)
-        if cache is not None:
+        if ctx.cache is not None:
             # Merging is purely sequential: one stream over each input.
             ctx.charge_cpu("sort",
-                           cache.sequential_scan(n_left + n_right, 16))
-
-        if _vectorized(ctx):
+                           ctx.cache.sequential_scan(n_left + n_right, 16))
+        costs = ctx.costs
+        if ctx.profile.kernels:
             ctx.charge_cpu("sort",
-                           ctx.costs.kernel_launch_ns
-                           + ctx.costs.vector_join_ns_per_row
+                           costs.kernel_launch_ns
+                           + costs.vector_join_ns_per_row
                            * (n_left + n_right))
             self.span_extras["kernel"] = "merge.vector"
-            li, ri = kernels.merge_match(lk, rk)
-            out: Batch = {name: arr[li] for name, arr in left.items()}
-            for name, arr in right.items():
-                if name in out:
-                    if name == self.right_key:
-                        continue
-                    raise PlanError(
-                        f"join would produce duplicate column {name!r}")
-                out[name] = arr[ri]
-            return out
-
-        ctx.charge_cpu("sort", ctx.costs.filter_ns_per_value
-                       * (n_left + n_right))
-        left_idx: List[int] = []
-        right_idx: List[int] = []
-        i = j = 0
-        while i < n_left and j < n_right:
-            if lk[i] < rk[j]:
-                i += 1
-            elif lk[i] > rk[j]:
-                j += 1
-            else:
-                # Collect the full duplicate run on both sides.
-                key = lk[i]
-                i_end = i
-                while i_end < n_left and lk[i_end] == key:
-                    i_end += 1
-                j_end = j
-                while j_end < n_right and rk[j_end] == key:
-                    j_end += 1
-                for a in range(i, i_end):
-                    for b in range(j, j_end):
-                        left_idx.append(a)
-                        right_idx.append(b)
-                i, j = i_end, j_end
-
-        li = np.asarray(left_idx, dtype=np.int64)
-        ri = np.asarray(right_idx, dtype=np.int64)
-        out: Batch = {name: arr[li] for name, arr in left.items()}
-        for name, arr in right.items():
-            if name in out:
-                if name == self.right_key:
-                    continue
-                raise PlanError(
-                    f"join would produce duplicate column {name!r}")
-            out[name] = arr[ri]
-        return out
+        else:
+            ctx.charge_cpu("sort", costs.filter_ns_per_value
+                           * (n_left + n_right))
+        li, ri = kernels.merge_match(lk, rk)
+        return _join_output(left, right, li, ri, (self.right_key,))
 
 
 class Distinct(PlanNode):
@@ -1018,30 +811,17 @@ class Distinct(PlanNode):
 
     def _run(self, ctx: ExecutionContext,
              child_batches: List[Batch]) -> Batch:
-        batch = child_batches[0]
-        if _vectorized(ctx):
-            batch = kernels.materialize_charged(ctx, batch)
-            n = batch_rows(batch)
-            ctx.charge_cpu("hash",
-                           ctx.costs.kernel_launch_ns
-                           + ctx.costs.vector_distinct_ns_per_row * n)
-            ctx.charge_tuples(n)
-            self.span_extras["kernel"] = "distinct.vector"
-            idx = kernels.first_occurrence_order(
-                [batch[c] for c in batch])
-            return {name: arr[idx] for name, arr in batch.items()}
+        batch = kernels.materialize_charged(ctx, child_batches[0])
         n = batch_rows(batch)
-        ctx.charge_cpu("hash", ctx.costs.group_ns_per_row * n)
+        costs = ctx.costs
+        if ctx.profile.kernels:
+            ctx.charge_cpu("hash", costs.kernel_launch_ns
+                           + costs.vector_distinct_ns_per_row * n)
+            self.span_extras["kernel"] = "distinct.vector"
+        else:
+            ctx.charge_cpu("hash", costs.group_ns_per_row * n)
         ctx.charge_tuples(n)
-        columns = list(batch)
-        seen: Dict[tuple, None] = {}
-        keep: List[int] = []
-        for i in range(n):
-            key = tuple(batch[c][i] for c in columns)
-            if key not in seen:
-                seen[key] = None
-                keep.append(i)
-        idx = np.asarray(keep, dtype=np.int64)
+        idx = kernels.first_occurrence_order([batch[c] for c in batch])
         return {name: arr[idx] for name, arr in batch.items()}
 
 
@@ -1072,10 +852,9 @@ class Sort(PlanNode):
              child_batches: List[Batch]) -> Batch:
         batch = child_batches[0]
         require_columns(batch, [k for k, __ in self.keys], self.name())
-        if _vectorized(ctx):
-            # Sort is a pipeline breaker: gather any pending selection
-            # once, then permute materialised columns.
-            batch = kernels.materialize_charged(ctx, batch)
+        # Sort is a pipeline breaker: gather any pending selection
+        # once, then permute materialised columns.
+        batch = kernels.materialize_charged(ctx, batch)
         n = batch_rows(batch)
         if n > 1:
             ctx.charge_cpu("sort", ctx.costs.sort_ns_per_compare

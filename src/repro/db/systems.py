@@ -9,9 +9,10 @@ rather than one engine, so this module abstracts query execution behind
 ``physops.selection`` split (SNIPPETS.md #2-3) — with three concrete
 backends:
 
-- :class:`MiniDBLoopSystem` — the per-row Python executor (the
-  differential-testing oracle);
-- :class:`MiniDBVectorizedSystem` — the NumPy kernel executor;
+- :class:`MiniDBLoopSystem` — MiniDB charging the per-row ``loop``
+  cost profile;
+- :class:`MiniDBVectorizedSystem` — MiniDB charging the ``vectorized``
+  kernel cost profile;
 - :class:`SQLiteSystem` — stdlib ``sqlite3``, in-process and
   dependency-free: a *real* engine the prototype can be held against.
 
@@ -258,8 +259,8 @@ class DatabaseSystem(abc.ABC):
 class MiniDBSystem(DatabaseSystem):
     """Thin adapter over :class:`~repro.db.engine.Engine`.
 
-    Subclasses pin the executor; every other engine knob can be
-    overridden through *config*.
+    Subclasses pin the executor cost profile; every other engine knob
+    can be overridden through *config*.
     """
 
     executor = "loop"
@@ -330,14 +331,14 @@ class MiniDBSystem(DatabaseSystem):
 
 
 class MiniDBLoopSystem(MiniDBSystem):
-    """MiniDB with the per-row Python executor."""
+    """MiniDB charging the per-row ``loop`` cost profile."""
 
     name = "minidb-loop"
     executor = "loop"
 
 
 class MiniDBVectorizedSystem(MiniDBSystem):
-    """MiniDB with the NumPy kernel executor."""
+    """MiniDB charging the ``vectorized`` kernel cost profile."""
 
     name = "minidb-vectorized"
     executor = "vectorized"

@@ -4,20 +4,20 @@
 The tutorial contrasts a MySQL gprof trace (interpretation-dominated:
 most time in per-tuple overhead, little in actual data work) with a
 MonetDB/MIL trace (time concentrated in a few vectorised primitives).
-MiniDB supports both execution models; profiling Q1 under each
-reproduces the contrast:
+MiniDB charges both execution models as cost profiles of one
+implementation; profiling Q1 under each reproduces the contrast:
 
-- TUPLE mode: the per-tuple interpretation overhead dominates the
+- ``tuple``: the per-tuple interpretation overhead dominates the
   execute phase;
-- COLUMN mode: the scan/aggregation primitives dominate, and total
-  execute time is far smaller.
+- ``loop`` (no per-tuple overhead): the scan/aggregation primitives
+  dominate, and total execute time is far smaller.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.db import Engine, EngineConfig, ExecutionMode, ProfileReport
+from repro.db import Engine, EngineConfig, ProfileReport
 from repro.workloads import generate_tpch, tpch_query
 
 
@@ -57,11 +57,11 @@ def _hot_profile(engine: Engine, sql: str) -> ProfileReport:
 
 
 def run_e05(sf: float = 0.01, seed: int = 42) -> E05Result:
-    """Profile Q1 hot under both execution modes."""
+    """Profile Q1 hot under the ``loop`` and ``tuple`` cost profiles."""
     sql = tpch_query(1)
     db = generate_tpch(sf=sf, seed=seed)
-    column_engine = Engine(db, EngineConfig(mode=ExecutionMode.COLUMN))
-    tuple_engine = Engine(db, EngineConfig(mode=ExecutionMode.TUPLE))
+    column_engine = Engine(db, EngineConfig(executor="loop"))
+    tuple_engine = Engine(db, EngineConfig(executor="tuple"))
     return E05Result(
         column_profile=_hot_profile(column_engine, sql),
         tuple_profile=_hot_profile(tuple_engine, sql))

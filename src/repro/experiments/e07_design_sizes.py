@@ -33,7 +33,7 @@ from repro.core import (
     two_level,
     two_level_size,
 )
-from repro.db import Client, Engine, EngineConfig, ExecutionMode, FileSink
+from repro.db import Client, Engine, EngineConfig, FileSink
 from repro.errors import DesignError
 from repro.measurement import (
     NoiseModel,
@@ -241,9 +241,8 @@ class ReplicatedQueryWorkload(Workload):
     def setup(self, config: Mapping[str, Any]) -> None:
         engine = Engine(
             _tpch_database(self.sf, self.data_seed),
-            EngineConfig(mode=(ExecutionMode.COLUMN
-                               if config["mode"] == "column"
-                               else ExecutionMode.TUPLE)),
+            EngineConfig(executor=("loop" if config["mode"] == "column"
+                                   else "tuple")),
             clock=self.clock)
         self._client = Client(engine, FileSink())
 

@@ -26,7 +26,6 @@ from repro.db import (
     Client,
     Engine,
     EngineConfig,
-    ExecutionMode,
     FileSink,
     TerminalSink,
 )
@@ -54,8 +53,7 @@ class QueryExperiment:
     def __call__(self, config: Mapping[str, Any]) -> float:
         engine_config = EngineConfig(
             buffer_pages=4096 if config["buffer"] == "large" else 8,
-            mode=(ExecutionMode.COLUMN if config["mode"] == "column"
-                  else ExecutionMode.TUPLE),
+            executor=("loop" if config["mode"] == "column" else "tuple"),
             build=BuildModel(BuildMode.OPT if config["build"] == "opt"
                              else BuildMode.DBG),
             tuned=(config["tuned"] == "yes"),

@@ -29,7 +29,7 @@ from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.core import FactorSpace, TwoLevelFactorialDesign, two_level
 from repro.core.replication import analyze_replicated
-from repro.db import Client, Engine, EngineConfig, ExecutionMode, FileSink
+from repro.db import Client, Engine, EngineConfig, FileSink
 from repro.errors import DesignError
 from repro.faults import FaultInjector, FaultPlan
 from repro.measurement import (
@@ -75,8 +75,7 @@ class FaultyQueryWorkload(Workload):
     def setup(self, config: Mapping[str, Any]) -> None:
         engine_config = EngineConfig(
             buffer_pages=4096 if config["buffer"] == "large" else 8,
-            mode=(ExecutionMode.COLUMN if config["mode"] == "column"
-                  else ExecutionMode.TUPLE),
+            executor=("loop" if config["mode"] == "column" else "tuple"),
             tuned=(config["tuned"] == "yes"),
         )
         engine = Engine(self.database, engine_config, clock=self.clock,

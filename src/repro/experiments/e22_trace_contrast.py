@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.core import TwoLevelFactorialDesign
-from repro.db import Client, Engine, EngineConfig, ExecutionMode, FileSink
+from repro.db import Client, Engine, EngineConfig, FileSink
 from repro.experiments.e21_fault_tolerance import (
     CAMPAIGN_PROTOCOL,
     FaultyQueryWorkload,
@@ -63,10 +63,10 @@ from repro.viz import render_flamegraph, render_span_shares
 from repro.workloads import generate_tpch, tpch_query
 
 #: The two stacks of the slide-54 contrast.
-TUNED_CONFIG = EngineConfig(buffer_pages=4096,
-                            mode=ExecutionMode.COLUMN, tuned=True)
-UNTUNED_CONFIG = EngineConfig(buffer_pages=8,
-                              mode=ExecutionMode.TUPLE, tuned=False)
+TUNED_CONFIG = EngineConfig(buffer_pages=4096, executor="loop",
+                            tuned=True)
+UNTUNED_CONFIG = EngineConfig(buffer_pages=8, executor="tuple",
+                              tuned=False)
 
 
 @dataclass(frozen=True)
@@ -174,13 +174,13 @@ def _traced_query(database, sql: str, label: str,
     tracer = Tracer(clock=clock, counters=engine.counters)
     with tracer.activate():
         with tracer.span(f"contrast.{label}", "contrast",
-                         mode=config.mode.value,
+                         executor=config.executor,
                          buffer_pages=config.buffer_pages,
                          tuned=config.tuned):
             client.run(sql)
     trace = tracer.trace()
     stats = engine.statistics()
-    description = (f"{config.mode.value} mode, "
+    description = (f"{config.executor} executor, "
                    f"{config.buffer_pages} buffer pages, "
                    f"{'tuned' if config.tuned else 'untuned'}")
     return ContrastRun(

@@ -5,8 +5,8 @@ DBMS comparisons, arXiv 2301.01095) agree on the failure mode: the
 *protocol* differs between systems, not the workload.  E27 runs one
 unchanged star-schema workload spec across three backends —
 
-* ``minidb-loop``   — the tuple-at-a-time MiniDB executor,
-* ``minidb-vectorized`` — the same engine, vectorized executor,
+* ``minidb-loop``   — MiniDB under the per-row ``loop`` cost profile,
+* ``minidb-vectorized`` — the same engine under the ``vectorized`` one,
 * ``sqlite``        — stdlib SQLite, in-process, via dialect
   translation and CROSS-JOIN plan pinning,
 

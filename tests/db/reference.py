@@ -11,8 +11,10 @@ import re
 from repro.db import Engine, EngineConfig, parse_select
 from repro.db.systems import SQLiteSystem, SystemResult, results_match, rows_match
 
-#: The execution styles every MiniDB result is checked under.
-EXECUTORS = ("loop", "vectorized")
+#: The execution styles every MiniDB result is checked under: all cost
+#: profiles run the same host code, but only ``vectorized`` hands
+#: selection vectors between operators.
+EXECUTORS = EngineConfig.VALID_EXECUTORS
 
 #: A ``/*+ ... */`` hint comment.  SQLite cannot force MiniDB's physical
 #: operators, so the reference runs the statement without hints.

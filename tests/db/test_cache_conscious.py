@@ -183,29 +183,18 @@ class TestFilterZoneShortCircuit:
     """Satellite fix: zone-map proofs skip predicate evaluation."""
 
     def _count_predicate_evaluations(self, monkeypatch, executor, sql):
+        from repro.db import expressions
         calls = {"n": 0}
-        if executor == "vectorized":
-            from repro.db import expressions
-            original = kernels.compile_expr
+        original = kernels.compile_expr
 
-            def counting(expr):
-                # Project/Aggregate compile plain column refs too; only
-                # the predicate itself is a comparison.
-                if isinstance(expr, expressions.Comparison):
-                    calls["n"] += 1
-                return original(expr)
-
-            monkeypatch.setattr(kernels, "compile_expr", counting)
-        else:
-            from repro.db import expressions
-            original = expressions.Comparison.evaluate
-
-            def counting(self, batch):
+        def counting(expr):
+            # Project/Aggregate compile plain column refs too; only
+            # the predicate itself is a comparison.
+            if isinstance(expr, expressions.Comparison):
                 calls["n"] += 1
-                return original(self, batch)
+            return original(expr)
 
-            monkeypatch.setattr(expressions.Comparison, "evaluate",
-                                counting)
+        monkeypatch.setattr(kernels, "compile_expr", counting)
         rows = _rows(_scan_db(13), sql, executor)
         return calls["n"], rows
 

@@ -155,5 +155,6 @@ class TestSelectionVectorToggle:
     @pytest.mark.parametrize("selvec", (True, False))
     def test_filter_results_identical(self, selvec):
         db = random_db(6)
+        executor = "vectorized" if selvec else "vectorized-eager"
         check(db, "SELECT id, v FROM t WHERE k < 33 ORDER BY id LIMIT 40",
-              executors=("vectorized",), selection_vectors=selvec)
+              executors=(executor,))

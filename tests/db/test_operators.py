@@ -15,7 +15,6 @@ from repro.db import (
     Database,
     DiskModel,
     ExecutionContext,
-    ExecutionMode,
     Filter,
     HashJoin,
     Limit,
@@ -31,11 +30,11 @@ from repro.errors import PlanError
 from repro.measurement import VirtualClock
 
 
-def make_context(db, mode=ExecutionMode.COLUMN):
+def make_context(db, executor="loop"):
     clock = VirtualClock()
     pool = BufferPool(1024, DiskModel(), clock)
     return ExecutionContext(database=db, buffer_pool=pool, clock=clock,
-                            mode=mode)
+                            executor=executor)
 
 
 def sample_db():
@@ -323,13 +322,13 @@ class TestSortLimit:
 class TestTupleMode:
     def test_tuple_mode_charges_more_cpu(self):
         db = sample_db()
-        ctx_col = make_context(db, ExecutionMode.COLUMN)
+        ctx_col = make_context(db, "loop")
         Filter(SeqScan("emp"),
                Comparison(">", ColumnRef("salary"), Literal(0.0))).execute(
             ctx_col)
         col_cpu = ctx_col.clock.sample().user
 
-        ctx_tup = make_context(db, ExecutionMode.TUPLE)
+        ctx_tup = make_context(db, "tuple")
         Filter(SeqScan("emp"),
                Comparison(">", ColumnRef("salary"), Literal(0.0))).execute(
             ctx_tup)
@@ -339,8 +338,8 @@ class TestTupleMode:
     def test_results_identical_across_modes(self):
         db = sample_db()
         batches = []
-        for mode in (ExecutionMode.COLUMN, ExecutionMode.TUPLE):
-            ctx = make_context(db, mode)
+        for executor in ("loop", "tuple"):
+            ctx = make_context(db, executor)
             batches.append(Filter(
                 SeqScan("emp"),
                 Comparison(">", ColumnRef("salary"), Literal(25.0))

@@ -16,7 +16,7 @@ from repro.core import (
     estimate_effects,
     two_level,
 )
-from repro.db import Client, Engine, EngineConfig, ExecutionMode, FileSink, TerminalSink
+from repro.db import Client, Engine, EngineConfig, FileSink, TerminalSink
 from repro.measurement import LAST_OF_THREE_HOT, ResultSet, Workload
 from repro.repeat import (
     ExperimentSuite,
@@ -39,8 +39,7 @@ class ConfiguredQueryWorkload(Workload):
 
     def setup(self, config):
         self.engine = Engine(self.database, EngineConfig(
-            mode=(ExecutionMode.COLUMN if config["mode"] == "column"
-                  else ExecutionMode.TUPLE),
+            executor=("loop" if config["mode"] == "column" else "tuple"),
             tuned=(config["tuned"] == "yes")))
         self.engine.execute(tpch_query(6))  # establish the hot state
 

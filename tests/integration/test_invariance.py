@@ -1,6 +1,6 @@
 """Cross-configuration invariance: every engine config, same answers.
 
-Execution mode, build mode, planner tuning, buffer size, and indexes may
+Executor cost profile, build mode, planner tuning, buffer size, and indexes may
 change *when* a query finishes — never *what* it returns.  These tests
 run the whole TPC-H workload and randomized micro-queries under many
 configurations and demand bit-identical results, plus oracle checks of
@@ -16,7 +16,6 @@ from repro.db import (
     DataType,
     Engine,
     EngineConfig,
-    ExecutionMode,
     Table,
 )
 from repro.hardware import BuildMode, BuildModel
@@ -41,7 +40,8 @@ def canonical(result):
 
 CONFIGS = {
     "default": EngineConfig(),
-    "tuple-mode": EngineConfig(mode=ExecutionMode.TUPLE),
+    "tuple-mode": EngineConfig(executor="tuple"),
+    "vectorized": EngineConfig(executor="vectorized"),
     "dbg-build": EngineConfig(build=BuildModel(BuildMode.DBG)),
     "untuned": EngineConfig.untuned(),
     "naive-joins": EngineConfig.untuned(naive_joins=True,
