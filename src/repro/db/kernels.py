@@ -213,6 +213,9 @@ def encode_join_keys(left_cols: Sequence[np.ndarray],
 
     Each key position's left and right columns are concatenated before
     encoding, so a key value present on both sides maps to one code.
+    A NULL (NaN) key equals nothing, not even another NULL: rows with a
+    NULL in any key column get code -1 on the left and -2 on the right,
+    which no row on the other side carries.
     """
     if len(left_cols) != len(right_cols) or not left_cols:
         raise PlanError(
@@ -221,7 +224,14 @@ def encode_join_keys(left_cols: Sequence[np.ndarray],
     combined = [np.concatenate([np.asarray(l), np.asarray(r)])
                 for l, r in zip(left_cols, right_cols)]
     codes, __ = dict_encode(combined)
-    return codes[:n_left], codes[n_left:]
+    null = np.zeros(len(codes), dtype=bool)
+    for col in combined:
+        if col.dtype.kind == "f":
+            null |= np.isnan(col)
+    left_codes, right_codes = codes[:n_left], codes[n_left:]
+    left_codes[null[:n_left]] = -1
+    right_codes[null[n_left:]] = -2
+    return left_codes, right_codes
 
 
 def join_match(left_codes: np.ndarray, right_codes: np.ndarray
@@ -258,14 +268,18 @@ def merge_match(left_keys: np.ndarray, right_keys: np.ndarray
     """:func:`join_match` for inputs already sorted on their keys.
 
     Skips the argsort pass: right-side runs are located directly with
-    two binary-search sweeps over the sorted right keys.
+    two binary-search sweeps over the sorted right keys.  A NULL (NaN)
+    key matches nothing.
     """
     with maybe_span("kernel.merge_match", "kernel",
                     left=int(len(left_keys)),
                     right=int(len(right_keys))):
+        left_keys = np.asarray(left_keys)
         starts = np.searchsorted(right_keys, left_keys, side="left")
         ends = np.searchsorted(right_keys, left_keys, side="right")
         counts = ends - starts
+        if left_keys.dtype.kind == "f":
+            counts[np.isnan(left_keys)] = 0
         total = int(counts.sum())
         if total == 0:
             empty = np.empty(0, dtype=np.int64)

@@ -865,9 +865,12 @@ class Sort(PlanNode):
         # Stable sorts applied from the least significant key backwards.
         for column, ascending in reversed(self.keys):
             values = batch[column][order]
-            idx = np.argsort(values, kind="stable")
-            if not ascending:
-                idx = idx[::-1]
+            if ascending:
+                idx = np.argsort(values, kind="stable")
+            else:
+                # Descending and still stable: sort the reversed input
+                # ascending, then reverse, so ties keep input order.
+                idx = (n - 1 - np.argsort(values[::-1], kind="stable"))[::-1]
             order = order[idx]
         return {name: arr[order] for name, arr in batch.items()}
 

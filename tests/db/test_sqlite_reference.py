@@ -68,3 +68,57 @@ class TestNullResults:
         finally:
             system.close()
         assert rows[1] == (None,)
+
+
+def _null_keys_db():
+    db = Database(name="null_keys")
+    db.create_table(Table.from_columns(
+        "a", [("id", DataType.INT64), ("k", DataType.FLOAT64)],
+        {"id": np.arange(4, dtype=np.int64),
+         "k": np.array([1.0, np.nan, 2.0, np.nan])}))
+    db.create_table(Table.from_columns(
+        "b", [("pk", DataType.FLOAT64), ("w", DataType.INT64)],
+        {"pk": np.array([np.nan, 1.0, 2.0]),
+         "w": np.array([10, 11, 12], dtype=np.int64)}))
+    return db
+
+
+class TestNullJoinKeys:
+    """A NULL join key matches nothing, not even another NULL."""
+
+    @pytest.mark.parametrize("op", ["hash", "merge", "loop", "radix"])
+    def test_every_join_operator(self, op):
+        rows = check(_null_keys_db(), "SELECT id, w FROM a JOIN b ON k = pk "
+                                      f"/*+ JOIN_OP(b {op}) */")
+        assert sorted(rows) == [(0, 11), (2, 12)]
+
+    def test_radix_partitions_drop_null_keys(self):
+        check(_null_keys_db(), "SELECT id, w FROM a JOIN b ON k = pk "
+                               "/*+ JOIN_OP(b radix) */", radix_bits=3)
+
+
+class TestDescendingTies:
+    """ORDER BY ... DESC keeps ties in input order, as a stable sort."""
+
+    def _db(self):
+        db = Database(name="ties")
+        db.create_table(Table.from_columns(
+            "t", [("id", DataType.INT64), ("g", DataType.INT64),
+                  ("s", DataType.STRING)],
+            {"id": np.arange(6, dtype=np.int64),
+             "g": np.array([1, 1, 2, 2, 3, 3], dtype=np.int64),
+             "s": ["x", "x", "y", "y", "z", "z"]}))
+        return db
+
+    def test_desc_then_asc_under_limit(self):
+        rows = check(self._db(),
+                     "SELECT id, g FROM t ORDER BY g DESC, id LIMIT 3")
+        assert rows == ((4, 3), (5, 3), (2, 2))
+
+    def test_string_desc_ties(self):
+        rows = check(self._db(),
+                     "SELECT id, s FROM t ORDER BY s DESC, id LIMIT 4")
+        assert [r[0] for r in rows] == [4, 5, 2, 3]
+
+    def test_desc_on_both_keys(self):
+        check(self._db(), "SELECT id, g FROM t ORDER BY g DESC, id DESC")
