@@ -24,9 +24,9 @@ import numpy as np
 from repro.db import kernels
 from repro.db.buffer import BufferPool
 from repro.db.context import (
+    COST_PROFILES,
     CostParameters,
     ExecutionContext,
-    COST_PROFILES,
     cost_profile,
 )
 from repro.db.disk import DiskModel

@@ -190,20 +190,35 @@ def dict_encode(columns: Sequence[np.ndarray]
                     rows=n, keys=len(columns)):
         codes: Optional[np.ndarray] = None
         for col in columns:
-            uniques, inverse = np.unique(np.asarray(col),
-                                         return_inverse=True)
-            inverse = inverse.astype(np.int64, copy=False)
+            inverse, n_uniques = _encode_column(np.asarray(col))
             if codes is None:
                 codes = inverse
             else:
-                codes = codes * np.int64(len(uniques)) + inverse
+                codes = codes * np.int64(n_uniques) + inverse
                 # Re-compact before the mixed-radix product can overflow.
-                if len(uniques) and codes.size \
+                if n_uniques and codes.size \
                         and int(codes.max(initial=0)) > 2 ** 61:
                     __, codes = np.unique(codes, return_inverse=True)
                     codes = codes.astype(np.int64, copy=False)
         uniques, compact = np.unique(codes, return_inverse=True)
         return compact.astype(np.int64, copy=False), int(len(uniques))
+
+
+def _encode_column(col: np.ndarray) -> Tuple[np.ndarray, int]:
+    """``(codes, n_distinct)`` of one column, codes in ascending value
+    order.  NumPy sorts Python strings (object arrays) slowly, so those
+    are factorised through a dict and only the distinct values sorted."""
+    if col.dtype != object:
+        uniques, inverse = np.unique(col, return_inverse=True)
+        return inverse.astype(np.int64, copy=False), len(uniques)
+    first: Dict[object, int] = {}
+    inverse = np.fromiter((first.setdefault(v, len(first)) for v in col),
+                          dtype=np.int64, count=len(col))
+    values = list(first)
+    ranks = np.empty(len(values), dtype=np.int64)
+    ranks[sorted(range(len(values)), key=values.__getitem__)] = \
+        np.arange(len(values))
+    return ranks[inverse], len(values)
 
 
 def encode_join_keys(left_cols: Sequence[np.ndarray],
