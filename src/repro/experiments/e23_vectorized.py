@@ -1,4 +1,4 @@
-"""E23 — vectorized kernels vs the per-row loop executor.
+"""E23 — vectorized vs per-row loop cost profiles.
 
 The tutorial's profiling slides contrast MonetDB's column-at-a-time
 primitives against MySQL's per-tuple interpretation; MiniDB charges

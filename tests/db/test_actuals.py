@@ -31,9 +31,9 @@ def tiny_engine(executor="loop", **kwargs):
 SQL = "SELECT k, v FROM t WHERE v < 3 ORDER BY k LIMIT 5"
 
 
-#: EXPLAIN ANALYZE of the E25 ``region_cat`` star query, recorded
-#: before the executor collapse: per-profile simulated self times and
-#: the kernel/loop annotations must not move.
+#: EXPLAIN ANALYZE of the E25 ``region_cat`` star query under the two
+#: profiles MiniDB's comparison backends use: a change to the executor
+#: must leave every simulated self time and annotation as it is.
 STAR_EXPLAIN_ANALYZE = {
     "loop": (
         "EXPLAIN ANALYZE (executor=loop)\n"

@@ -1,7 +1,7 @@
 """Cross-backend differential tests: the CI `cross-backend` job.
 
-Every seeded query runs on all three backends — MiniDB loop (the
-oracle), MiniDB vectorized, and SQLite — and must produce identical
+Every seeded query runs on all three backends — MiniDB loop, MiniDB
+vectorized, and SQLite (the reference) — and must produce identical
 sorted result sets (floats to aggregation-rounding tolerance).  Forced
 join orders are part of the grid: a plan-forcing bug that changes
 *results* (not just speed) fails here, on every Python version in the
@@ -85,7 +85,7 @@ def systems():
 @pytest.mark.parametrize("order", ORDERS,
                          ids=["unforced"] + ["-".join(o) for o in ORDERS[1:]])
 def test_identical_result_sets(systems, name, sql, order):
-    oracle, *contenders = systems
+    *contenders, oracle = systems
     reference_sql = sql if order is None else oracle.force_plan(sql, order)
     reference = oracle.execute(reference_sql)
     assert reference.n_rows > 0, f"{name} returned nothing; weak test"

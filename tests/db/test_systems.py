@@ -88,11 +88,13 @@ class TestResultEquivalence:
 
 class TestMiniDBAdapters:
     def test_executors_differ_but_results_match(self, systems):
-        loop, vec, __ = systems
+        loop, vec, sqlite = systems
         r1, r2 = loop.execute(STAR_SQL), vec.execute(STAR_SQL)
         assert loop.config.executor == "loop"
         assert vec.config.executor == "vectorized"
-        assert results_match(r1, r2)
+        reference = sqlite.execute(STAR_SQL)
+        assert results_match(r1, reference)
+        assert results_match(r2, reference)
         assert r1.simulated_s is not None and r1.simulated_s > 0
 
     def test_label_overrides_name(self, db):
