@@ -9,15 +9,27 @@ under every profile.
 
 Kernel inventory
 ----------------
+Key kernels work on dense integer codes, so they count and radix-sort
+instead of comparison-sorting: every order they need comes from one
+stable LSD radix sort on 16-bit digits (NumPy's stable argsort of
+``uint16`` keys is a counting radix sort), and each key set is sorted
+at most once.
+
 - :func:`dict_encode` — dictionary-encode one or more key columns into
-  dense composite group ids (``np.unique(..., return_inverse=True)``);
+  dense composite group ids, in ascending key order: integer and DATE
+  columns and composite codes are renumbered through a presence bitmap;
+  FLOAT64 (NaN), string and too-sparse keys are sorted (``np.unique``);
 - :func:`encode_join_keys` — the same encoding applied jointly to both
   sides of an equi-join, so equal keys get equal codes across sides;
-- :func:`join_match` — sort-based equi-join matching emitting
-  ``(left_idx, right_idx)`` gather arrays in left-major order
-  (stable ``np.argsort`` + two ``np.searchsorted`` sweeps);
-- :func:`merge_match` — the already-sorted variant (no argsort pass);
-- :func:`grouped_reduce` — grouped SUM/MIN/MAX via ``np.argsort`` +
+- :func:`join_match` — equi-join matching emitting ``(left_idx,
+  right_idx)`` gather arrays in left-major order: per-code counts and
+  start offsets from ``np.bincount``/``np.cumsum`` over one radix order
+  of the right codes;
+- :func:`merge_match` — the already-sorted variant (no ordering pass);
+- :func:`radix_join_match` — :func:`join_match` per radix partition;
+- :func:`group_order` — the one stable order of rows by group id that
+  an aggregation's reductions, counts and key rows all read;
+- :func:`grouped_reduce` — grouped SUM/MIN/MAX via that order +
   ``np.add.reduceat`` / ``np.minimum.reduceat`` / ``np.maximum.reduceat``;
 - :func:`group_count` / :func:`group_first_index` — grouped COUNT and
   first-occurrence representative rows;
@@ -74,6 +86,7 @@ __all__ = [
     "gather",
     "group_count",
     "group_first_index",
+    "group_order",
     "grouped_reduce",
     "join_match",
     "materialize",
@@ -173,6 +186,48 @@ def materialize(batch):
 # Dictionary encoding and join matching
 # ---------------------------------------------------------------------------
 
+#: Widest key span renumbered through a presence bitmap, in slots per
+#: input row.  The bitmap takes one byte a slot and its rank table eight
+#: (touched only where values occur), so at 4 slots a row the bitmap
+#: path needs no more memory than the ``np.unique`` sort it replaces
+#: (about 33 bytes a row).  Sparser keys are sorted instead, the only
+#: path whose memory is bounded by the row count alone.
+_BITMAP_SLOTS_PER_ROW = 4
+
+
+def _stable_order(keys: np.ndarray, bound: int) -> np.ndarray:
+    """Stable ascending order of non-negative integer *keys* below
+    *bound*: an LSD radix sort on 16-bit digits, least significant
+    first (NumPy's stable argsort of ``uint16`` is a counting sort)."""
+    order = np.argsort(keys.astype(np.uint16), kind="stable")
+    shift = 16
+    while bound > 1 << shift:
+        digit = (keys[order] >> shift).astype(np.uint16)
+        order = order[np.argsort(digit, kind="stable")]
+        shift += 16
+    return order
+
+
+def _dense_rank(values: np.ndarray, span: int) -> Tuple[np.ndarray, int]:
+    """``(ranks, n_distinct)`` of non-negative integers below *span*:
+    each value's rank among the distinct values, via a presence bitmap."""
+    present = np.zeros(span, dtype=bool)
+    present[values] = True
+    distinct = np.flatnonzero(present)
+    rank = np.empty(span, dtype=np.int64)
+    rank[distinct] = np.arange(distinct.size, dtype=np.int64)
+    return rank[values], int(distinct.size)
+
+
+def _compact(codes: np.ndarray, span: int) -> Tuple[np.ndarray, int]:
+    """Dense ascending ranks of non-negative integer *codes* below
+    *span*: a presence bitmap when the span is narrow, a sort otherwise."""
+    if span <= _BITMAP_SLOTS_PER_ROW * codes.size:
+        return _dense_rank(codes, span)
+    uniques, inverse = np.unique(codes, return_inverse=True)
+    return inverse.astype(np.int64, copy=False), int(len(uniques))
+
+
 def dict_encode(columns: Sequence[np.ndarray]
                 ) -> Tuple[np.ndarray, int]:
     """Dense composite codes for equal-length key columns.
@@ -188,26 +243,27 @@ def dict_encode(columns: Sequence[np.ndarray]
     n = len(columns[0])
     with maybe_span("kernel.dict_encode", "kernel",
                     rows=n, keys=len(columns)):
-        codes: Optional[np.ndarray] = None
-        for col in columns:
+        codes, n_codes = _encode_column(np.asarray(columns[0]))
+        for col in columns[1:]:
             inverse, n_uniques = _encode_column(np.asarray(col))
-            if codes is None:
-                codes = inverse
-            else:
-                codes = codes * np.int64(n_uniques) + inverse
-                # Re-compact before the mixed-radix product can overflow.
-                if n_uniques and codes.size \
-                        and int(codes.max(initial=0)) > 2 ** 61:
-                    __, codes = np.unique(codes, return_inverse=True)
-                    codes = codes.astype(np.int64, copy=False)
-        uniques, compact = np.unique(codes, return_inverse=True)
-        return compact.astype(np.int64, copy=False), int(len(uniques))
+            # Mixed-radix product of two dense codes, renumbered at once
+            # so the next product stays below n**2.
+            codes = codes * np.int64(n_uniques) + inverse
+            codes, n_codes = _compact(codes, n_codes * n_uniques)
+        return codes, n_codes
 
 
 def _encode_column(col: np.ndarray) -> Tuple[np.ndarray, int]:
     """``(codes, n_distinct)`` of one column, codes in ascending value
-    order.  NumPy sorts Python strings (object arrays) slowly, so those
-    are factorised through a dict and only the distinct values sorted."""
+    order.  Integer (and DATE) columns are renumbered through a presence
+    bitmap over their value span.  NumPy sorts Python strings (object
+    arrays) slowly, so those are factorised through a dict and only the
+    distinct values sorted."""
+    if col.dtype.kind in "iu" and col.size:
+        low = int(col.min())
+        span = int(col.max()) - low + 1
+        if span <= _BITMAP_SLOTS_PER_ROW * col.size:
+            return _dense_rank(col - low, span)
     if col.dtype != object:
         uniques, inverse = np.unique(col, return_inverse=True)
         return inverse.astype(np.int64, copy=False), len(uniques)
@@ -253,18 +309,28 @@ def join_match(left_codes: np.ndarray, right_codes: np.ndarray
                ) -> Tuple[np.ndarray, np.ndarray]:
     """All (left, right) index pairs with equal codes, left-major.
 
-    Output order is left-major: left indices ascending, and for one
-    left row its matching right indices ascending (the stable argsort
-    keeps equal codes in input order).
+    Codes must be dense non-negative integers (:func:`encode_join_keys`
+    output): the per-code counts take memory linear in the largest code.
+    A negative (NULL) code on either side matches nothing.  Output order
+    is left-major: left indices ascending, and for one left row its
+    matching right indices ascending (the stable radix order keeps
+    equal codes in input order).
     """
     with maybe_span("kernel.join_match", "kernel",
                     left=int(left_codes.size),
                     right=int(right_codes.size)):
-        order = np.argsort(right_codes, kind="stable")
-        sorted_right = right_codes[order]
-        starts = np.searchsorted(sorted_right, left_codes, side="left")
-        ends = np.searchsorted(sorted_right, left_codes, side="right")
-        counts = ends - starts
+        # Key 0 collects the right side's NULL codes; no left row
+        # probes it.
+        keys = np.maximum(right_codes + 1, 0)
+        n_keys = int(keys.max(initial=0)) + 1
+        order = _stable_order(keys, n_keys)
+        per_key = np.bincount(keys, minlength=n_keys)
+        key_starts = np.cumsum(per_key) - per_key
+        probe = left_codes + 1
+        hit = (left_codes >= 0) & (probe < n_keys)
+        probe = np.where(hit, probe, 0)
+        counts = np.where(hit, per_key[probe], 0)
+        starts = key_starts[probe]
         total = int(counts.sum())
         if total == 0:
             empty = np.empty(0, dtype=np.int64)
@@ -361,7 +427,7 @@ def radix_partition(codes: np.ndarray, n_bits: int
                     rows=int(codes.size), bits=n_bits,
                     passes=radix_passes(n_bits)):
         partitions = codes & np.int64(n_partitions - 1)
-        order = np.argsort(partitions, kind="stable").astype(np.int64)
+        order = _stable_order(partitions, n_partitions)
         counts = np.bincount(partitions, minlength=n_partitions)
         offsets = np.zeros(n_partitions + 1, dtype=np.int64)
         np.cumsum(counts, out=offsets[1:])
@@ -376,7 +442,9 @@ def radix_join_match(left_codes: np.ndarray, right_codes: np.ndarray,
     partition; each partition is joined independently (its hash table is
     what fits in cache) and the pair list is restored to the canonical
     left-major order, making the output byte-identical to
-    :func:`join_match`.
+    :func:`join_match`.  All of one left row's matches come from its
+    own partition with right indices ascending, so a stable order on
+    the left index alone restores that order.
     """
     if n_bits <= 0:
         return join_match(left_codes, right_codes)
@@ -392,7 +460,10 @@ def radix_join_match(left_codes: np.ndarray, right_codes: np.ndarray,
             rs = right_order[right_offsets[p]:right_offsets[p + 1]]
             if ls.size == 0 or rs.size == 0:
                 continue  # empty partition on either side: no matches
-            li, ri = join_match(left_codes[ls], right_codes[rs])
+            # Codes in one partition share their low bits; shifting them
+            # off keeps the codes dense (NULLs stay negative).
+            li, ri = join_match(left_codes[ls] >> n_bits,
+                                right_codes[rs] >> n_bits)
             left_parts.append(ls[li])
             right_parts.append(rs[ri])
         if not left_parts:
@@ -400,7 +471,7 @@ def radix_join_match(left_codes: np.ndarray, right_codes: np.ndarray,
             return empty, empty.copy()
         li = np.concatenate(left_parts)
         ri = np.concatenate(right_parts)
-        order = np.lexsort((ri, li))
+        order = _stable_order(li, left_codes.size)
         return li[order], ri[order]
 
 
@@ -411,12 +482,37 @@ def radix_join_match(left_codes: np.ndarray, right_codes: np.ndarray,
 _REDUCE_UFUNCS = {"sum": np.add, "min": np.minimum, "max": np.maximum}
 
 
-def grouped_reduce(values: np.ndarray, group_ids: np.ndarray,
-                   n_groups: int, op: str) -> np.ndarray:
-    """Per-group reduction via stable argsort + ``ufunc.reduceat``.
+def group_order(group_ids: np.ndarray, n_groups: int
+                ) -> Tuple[np.ndarray, np.ndarray]:
+    """``(order, starts)``: the rows stably sorted by group id, and the
+    position in ``order`` where each group begins.
 
     ``group_ids`` must be dense (:func:`dict_encode` output): every id
-    in ``[0, n_groups)`` occurs at least once.
+    in ``[0, n_groups)`` occurs at least once.  ``order[starts]`` is
+    each group's first input row.
+    """
+    with maybe_span("kernel.group_order", "kernel",
+                    rows=int(group_ids.size), groups=n_groups):
+        counts = np.bincount(group_ids, minlength=n_groups)
+        if counts.size != n_groups or not counts.all():
+            raise PlanError(
+                f"group ids are not dense: "
+                f"{int(np.count_nonzero(counts))} distinct ids "
+                f"for {n_groups} declared groups")
+        return (_stable_order(group_ids, n_groups),
+                np.cumsum(counts) - counts)
+
+
+def grouped_reduce(values: np.ndarray, group_ids: np.ndarray,
+                   n_groups: int, op: str,
+                   grouping: Optional[Tuple[np.ndarray, np.ndarray]] = None
+                   ) -> np.ndarray:
+    """Per-group reduction via ``ufunc.reduceat`` over the rows in
+    group order.
+
+    *grouping* is :func:`group_order`'s result for ``group_ids``;
+    callers reducing several columns by one grouping pass it so the
+    rows are ordered once.  Without it the order is computed here.
     """
     try:
         ufunc = _REDUCE_UFUNCS[op]
@@ -428,16 +524,11 @@ def grouped_reduce(values: np.ndarray, group_ids: np.ndarray,
                     rows=int(len(values)), groups=n_groups, op=op):
         if n_groups == 0:
             return np.zeros(0, dtype=np.float64)
-        order = np.argsort(group_ids, kind="stable")
-        sorted_values = np.asarray(values, dtype=np.float64)[order]
-        sorted_ids = np.asarray(group_ids)[order]
-        starts = np.concatenate(
-            ([0], np.flatnonzero(np.diff(sorted_ids)) + 1))
-        if len(starts) != n_groups:
-            raise PlanError(
-                f"group ids are not dense: {len(starts)} distinct ids "
-                f"for {n_groups} declared groups")
-        return ufunc.reduceat(sorted_values, starts)
+        if grouping is None:
+            grouping = group_order(np.asarray(group_ids), n_groups)
+        order, starts = grouping
+        return ufunc.reduceat(np.asarray(values, dtype=np.float64)[order],
+                              starts)
 
 
 def group_count(group_ids: np.ndarray, n_groups: int) -> np.ndarray:

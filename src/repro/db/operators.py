@@ -669,9 +669,13 @@ class Aggregate(PlanNode):
             group_ids, n_groups = kernels.dict_encode(
                 [batch[k] for k in self.group_by])
             self.aux_bytes = 48 * n_groups + 8 * n
-            # Representative row per group: output is key-sorted (the
-            # dictionary codes ascend with the composite key).
-            first = kernels.group_first_index(group_ids, n_groups)
+            # One stable order of the rows by group serves every
+            # aggregate and the key columns.  Output is key-sorted (the
+            # dictionary codes ascend with the composite key), and each
+            # group's first row stands for its key.
+            grouping = kernels.group_order(group_ids, n_groups)
+            order, starts = grouping
+            first = order[starts]
             for key_name in self.group_by:
                 out[key_name] = batch[key_name][first]
         else:
@@ -679,9 +683,12 @@ class Aggregate(PlanNode):
             # over empty input (COUNT(*) = 0), per SQL semantics.
             group_ids = np.zeros(n, dtype=np.int64)
             n_groups = 1
+            grouping = (np.arange(n), np.zeros(1, dtype=np.int64)) \
+                if n else None
 
         for func, expr, alias in self.aggregates:
-            values = self._reduce(func, expr, batch, group_ids, n_groups)
+            values = self._reduce(func, expr, batch, group_ids, n_groups,
+                                  grouping)
             if func is AggFunc.COUNT:
                 values = values.astype(np.int64)
             elif func is not AggFunc.AVG and expr is not None \
@@ -692,31 +699,34 @@ class Aggregate(PlanNode):
 
     @staticmethod
     def _reduce(func: AggFunc, expr: Optional[Expr], batch: Batch,
-                group_ids: np.ndarray, n_groups: int) -> np.ndarray:
+                group_ids: np.ndarray, n_groups: int,
+                grouping: Optional[Tuple[np.ndarray, np.ndarray]]
+                ) -> np.ndarray:
         if n_groups == 0:
             # Grouped aggregation over empty input: zero output rows.
             return np.zeros(0, dtype=np.float64)
-        if func is AggFunc.COUNT:
-            return kernels.group_count(group_ids, n_groups)
-        values = np.asarray(kernels.compile_expr(expr)(batch),
-                            dtype=np.float64)
-        if values.size == 0:
-            # Only the global aggregate reaches here with zero rows
-            # (dense grouped ids imply populated groups): the SQL
+        if grouping is None:
+            # Only the global aggregate has a group and no rows: the SQL
             # identities over empty input.
-            fill = {AggFunc.SUM: 0.0, AggFunc.AVG: 0.0,
+            fill = {AggFunc.COUNT: 0.0, AggFunc.SUM: 0.0, AggFunc.AVG: 0.0,
                     AggFunc.MIN: np.inf, AggFunc.MAX: -np.inf}[func]
             return np.full(n_groups, fill, dtype=np.float64)
+        order, starts = grouping
+        counts = np.diff(starts, append=order.size)
+        if func is AggFunc.COUNT:
+            return counts
+        values = np.asarray(kernels.compile_expr(expr)(batch),
+                            dtype=np.float64)
         if func is AggFunc.SUM:
-            return kernels.grouped_reduce(values, group_ids,
-                                          n_groups, "sum")
+            return kernels.grouped_reduce(values, group_ids, n_groups,
+                                          "sum", grouping)
         if func is AggFunc.AVG:
-            sums = kernels.grouped_reduce(values, group_ids,
-                                          n_groups, "sum")
-            counts = kernels.group_count(group_ids, n_groups)
-            return sums / np.maximum(counts, 1)
+            sums = kernels.grouped_reduce(values, group_ids, n_groups,
+                                          "sum", grouping)
+            return sums / counts
         op = "min" if func is AggFunc.MIN else "max"
-        return kernels.grouped_reduce(values, group_ids, n_groups, op)
+        return kernels.grouped_reduce(values, group_ids, n_groups, op,
+                                      grouping)
 
 
 class MergeJoin(PlanNode):
