@@ -30,7 +30,7 @@ at most once.
 - :func:`group_order` — the one stable order of rows by group id that
   an aggregation's reductions, counts and key rows all read;
 - :func:`grouped_reduce` — grouped SUM/MIN/MAX via that order +
-  ``np.add.reduceat`` / ``np.minimum.reduceat`` / ``np.maximum.reduceat``;
+  ``np.add.reduceat`` / ``np.fmin.reduceat`` / ``np.fmax.reduceat``;
 - :func:`group_count` / :func:`group_first_index` — grouped COUNT and
   first-occurrence representative rows;
 - :func:`first_occurrence_order` — DISTINCT keeping first-occurrence
@@ -479,7 +479,8 @@ def radix_join_match(left_codes: np.ndarray, right_codes: np.ndarray,
 # Grouped aggregation
 # ---------------------------------------------------------------------------
 
-_REDUCE_UFUNCS = {"sum": np.add, "min": np.minimum, "max": np.maximum}
+#: MIN and MAX skip NaN (SQL NULL) unless a whole group is NaN.
+_REDUCE_UFUNCS = {"sum": np.add, "min": np.fmin, "max": np.fmax}
 
 
 def group_order(group_ids: np.ndarray, n_groups: int

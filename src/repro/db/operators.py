@@ -692,7 +692,9 @@ class Aggregate(PlanNode):
             if func is AggFunc.COUNT:
                 values = values.astype(np.int64)
             elif func is not AggFunc.AVG and expr is not None \
-                    and expr.dtype(child_schema) is DataType.INT64:
+                    and expr.dtype(child_schema) is DataType.INT64 \
+                    and not np.isnan(values).any():
+                # A NULL result (no input rows) stays a float NaN.
                 values = values.astype(np.int64)
             out[alias] = values
         return out
@@ -702,31 +704,38 @@ class Aggregate(PlanNode):
                 group_ids: np.ndarray, n_groups: int,
                 grouping: Optional[Tuple[np.ndarray, np.ndarray]]
                 ) -> np.ndarray:
+        """One aggregate per group, with SQL's NULL rules: NULLs (NaN
+        in FLOAT64 inputs) are skipped, and an aggregate other than
+        COUNT over no non-NULL input is NULL."""
         if n_groups == 0:
             # Grouped aggregation over empty input: zero output rows.
             return np.zeros(0, dtype=np.float64)
         if grouping is None:
-            # Only the global aggregate has a group and no rows: the SQL
-            # identities over empty input.
-            fill = {AggFunc.COUNT: 0.0, AggFunc.SUM: 0.0, AggFunc.AVG: 0.0,
-                    AggFunc.MIN: np.inf, AggFunc.MAX: -np.inf}[func]
-            return np.full(n_groups, fill, dtype=np.float64)
+            # Only the global aggregate has a group and no rows.
+            return np.full(n_groups, 0.0 if func is AggFunc.COUNT
+                           else np.nan)
         order, starts = grouping
         counts = np.diff(starts, append=order.size)
+        if expr is None:  # COUNT(*)
+            return counts
+        values = np.asarray(kernels.compile_expr(expr)(batch))
+        if values.dtype.kind == "f":
+            null = np.isnan(values)
+            if null.any():
+                counts = counts - kernels.group_count(group_ids[null],
+                                                      n_groups)
+                if func in (AggFunc.SUM, AggFunc.AVG):
+                    values = np.where(null, 0.0, values)
         if func is AggFunc.COUNT:
             return counts
-        values = np.asarray(kernels.compile_expr(expr)(batch),
-                            dtype=np.float64)
-        if func is AggFunc.SUM:
-            return kernels.grouped_reduce(values, group_ids, n_groups,
-                                          "sum", grouping)
+        op = {AggFunc.SUM: "sum", AggFunc.AVG: "sum",
+              AggFunc.MIN: "min", AggFunc.MAX: "max"}[func]
+        out = kernels.grouped_reduce(values, group_ids, n_groups, op,
+                                     grouping)
         if func is AggFunc.AVG:
-            sums = kernels.grouped_reduce(values, group_ids, n_groups,
-                                          "sum", grouping)
-            return sums / counts
-        op = "min" if func is AggFunc.MIN else "max"
-        return kernels.grouped_reduce(values, group_ids, n_groups, op,
-                                      grouping)
+            out = out / np.maximum(counts, 1)
+        out[counts == 0] = np.nan
+        return out
 
 
 class MergeJoin(PlanNode):

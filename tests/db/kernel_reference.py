@@ -113,7 +113,8 @@ def radix_join_match(left_codes: np.ndarray, right_codes: np.ndarray,
     return li[order], ri[order]
 
 
-_REDUCE_UFUNCS = {"sum": np.add, "min": np.minimum, "max": np.maximum}
+#: MIN and MAX skip NaN (SQL NULL), as the kernel's do.
+_REDUCE_UFUNCS = {"sum": np.add, "min": np.fmin, "max": np.fmax}
 
 
 def grouped_reduce(values: np.ndarray, group_ids: np.ndarray,

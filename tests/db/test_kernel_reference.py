@@ -113,7 +113,9 @@ def test_join_kernels(seed, n_left, n_right, kinds, span, bits):
 @example(seed=9, n=0, kinds=["str"], span=1.0)
 def test_group_kernels(seed, n, kinds, span):
     ids, n_groups = ref.dict_encode(columns(seed, n, kinds, span))
-    values = np.random.default_rng(seed).normal(size=n)
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=n)
+    values[rng.random(n) < 0.2] = np.nan  # NULLs
     grouping = kernels.group_order(ids, n_groups)
     order, starts = grouping
     for op in ("sum", "min", "max"):

@@ -1,6 +1,8 @@
 """Regression tests that hold MiniDB against SQLite on the cases where
 the two used to disagree, or where the SQLite reference itself broke."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,43 @@ class TestNullResults:
         finally:
             system.close()
         assert rows[1] == (None,)
+
+
+def _null_values_db():
+    db = Database(name="null_values")
+    db.create_table(Table.from_columns(
+        "t", [("g", DataType.INT64), ("k", DataType.INT64),
+              ("x", DataType.FLOAT64)],
+        {"g": np.array([1, 1, 1, 2, 2, 3], dtype=np.int64),
+         "k": np.array([10, 20, 30, 40, 50, 60], dtype=np.int64),
+         "x": np.array([1.5, np.nan, -2.0, np.nan, np.nan, 4.0])}))
+    return db
+
+
+class TestAggregateNulls:
+    """Aggregates skip NULLs; over no non-NULL input they are NULL."""
+
+    @pytest.mark.parametrize("agg", ["SUM(x)", "AVG(x)", "MIN(x)",
+                                     "MAX(x)", "COUNT(x)", "COUNT(*)"])
+    def test_grouped_skips_nulls(self, agg):
+        # Group 1 holds a NULL, group 2 holds only NULLs.
+        rows = check(_null_values_db(),
+                     f"SELECT g, {agg} AS a FROM t GROUP BY g ORDER BY g")
+        assert len(rows) == 3
+
+    def test_global_skips_nulls(self):
+        rows = check(_null_values_db(),
+                     "SELECT SUM(x) AS s, AVG(x) AS a, MIN(x) AS lo, "
+                     "MAX(x) AS hi, COUNT(x) AS n, COUNT(*) AS m FROM t")
+        assert rows == ((3.5, 3.5 / 3, -2.0, 4.0, 3, 6),)
+
+    @pytest.mark.parametrize("agg", ["SUM(k)", "AVG(k)", "MIN(k)",
+                                     "MAX(k)", "SUM(x)", "MIN(x)",
+                                     "COUNT(k)", "COUNT(*)"])
+    def test_over_zero_rows(self, agg):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            check(_null_values_db(), f"SELECT {agg} AS a FROM t WHERE k < 0")
 
 
 def _null_keys_db():

@@ -187,7 +187,8 @@ class TestMicrobenchmarks:
         result = full.run()
         assert result.scalar() != 0
         none = join_microbenchmark(1000, 100, match_fraction=0.0, seed=3)
-        assert none.run().scalar() == 0
+        # SUM over an empty join is NULL (NaN), as in SQL.
+        assert np.isnan(none.run().scalar())
 
     def test_sort_runs(self):
         bench = sort_microbenchmark(500, seed=3)
