@@ -12,8 +12,8 @@ Kernel inventory
 Key kernels work on dense integer codes, so they count and radix-sort
 instead of comparison-sorting: every order they need comes from one
 stable LSD radix sort on 16-bit digits (NumPy's stable argsort of
-``uint16`` keys is a counting radix sort), and each key set is sorted
-at most once.
+``uint16`` keys is itself a radix sort), and each key set is sorted at
+most once.
 
 - :func:`dict_encode` — dictionary-encode one or more key columns into
   dense composite group ids, in ascending key order: integer and DATE
@@ -31,8 +31,9 @@ at most once.
   an aggregation's reductions, counts and key rows all read;
 - :func:`grouped_reduce` — grouped SUM/MIN/MAX via that order +
   ``np.add.reduceat`` / ``np.fmin.reduceat`` / ``np.fmax.reduceat``;
-- :func:`group_count` / :func:`group_first_index` — grouped COUNT and
-  first-occurrence representative rows;
+- :func:`group_count` / :func:`group_first_index` — per-group row
+  counts (Aggregate counts NULL inputs with it) and first-occurrence
+  rows;
 - :func:`first_occurrence_order` — DISTINCT keeping first-occurrence
   row order;
 - :func:`compile_expr` — expression compilation with a process-wide
@@ -198,7 +199,8 @@ _BITMAP_SLOTS_PER_ROW = 4
 def _stable_order(keys: np.ndarray, bound: int) -> np.ndarray:
     """Stable ascending order of non-negative integer *keys* below
     *bound*: an LSD radix sort on 16-bit digits, least significant
-    first (NumPy's stable argsort of ``uint16`` is a counting sort)."""
+    first (NumPy's stable argsort of ``uint16`` is itself a radix
+    sort)."""
     order = np.argsort(keys.astype(np.uint16), kind="stable")
     shift = 16
     while bound > 1 << shift:
@@ -533,7 +535,7 @@ def grouped_reduce(values: np.ndarray, group_ids: np.ndarray,
 
 
 def group_count(group_ids: np.ndarray, n_groups: int) -> np.ndarray:
-    """Per-group row counts (COUNT(*)) as int64."""
+    """Per-group row counts as int64."""
     with maybe_span("kernel.group_count", "kernel",
                     rows=int(group_ids.size), groups=n_groups):
         return np.bincount(group_ids,
