@@ -190,8 +190,8 @@ def materialize(batch):
 #: Widest key span renumbered through a presence bitmap, in slots per
 #: input row.  The bitmap takes one byte a slot and its rank table eight
 #: (touched only where values occur), so at 4 slots a row the bitmap
-#: path needs no more memory than the ``np.unique`` sort it replaces
-#: (about 33 bytes a row).  Sparser keys are sorted instead, the only
+#: costs at most 36 bytes a row, about what the ``np.unique`` sort it
+#: replaces allocates (~33).  Sparser keys are sorted instead, the only
 #: path whose memory is bounded by the row count alone.
 _BITMAP_SLOTS_PER_ROW = 4
 
