@@ -1,4 +1,5 @@
-"""Tests for the expression AST, including numpy-oracle property tests."""
+"""Tests for the expression AST and its compiled evaluation, including
+numpy-oracle property tests."""
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from repro.db import (
     estimate_selectivity,
     split_conjuncts,
 )
+from repro.db.kernels import compile_expr
 from repro.errors import PlanError, TypeMismatchError
 
 SCHEMA = {"a": DataType.INT64, "b": DataType.FLOAT64,
@@ -38,11 +40,11 @@ def batch(n=4):
 
 class TestColumnRefAndLiteral:
     def test_column_lookup(self):
-        assert list(ColumnRef("a").evaluate(batch())) == [1, 2, 3, 4]
+        assert list(compile_expr(ColumnRef("a"))(batch())) == [1, 2, 3, 4]
 
     def test_missing_column(self):
         with pytest.raises(PlanError):
-            ColumnRef("zzz").evaluate(batch())
+            compile_expr(ColumnRef("zzz"))(batch())
 
     def test_dtype(self):
         assert ColumnRef("s").dtype(SCHEMA) is DataType.STRING
@@ -50,11 +52,11 @@ class TestColumnRefAndLiteral:
             ColumnRef("zzz").dtype(SCHEMA)
 
     def test_literal_broadcast(self):
-        values = Literal(7).evaluate(batch())
+        values = compile_expr(Literal(7))(batch())
         assert list(values) == [7, 7, 7, 7]
 
     def test_string_literal(self):
-        values = Literal("x").evaluate(batch())
+        values = compile_expr(Literal("x"))(batch())
         assert list(values) == ["x"] * 4
 
     def test_date_literal(self):
@@ -66,11 +68,11 @@ class TestColumnRefAndLiteral:
 class TestArithmetic:
     def test_add(self):
         expr = Arithmetic("+", ColumnRef("a"), Literal(10))
-        assert list(expr.evaluate(batch())) == [11, 12, 13, 14]
+        assert list(compile_expr(expr)(batch())) == [11, 12, 13, 14]
 
     def test_division_is_float_and_safe(self):
         expr = Arithmetic("/", ColumnRef("a"), Literal(0))
-        assert list(expr.evaluate(batch())) == [0, 0, 0, 0]
+        assert list(compile_expr(expr)(batch())) == [0, 0, 0, 0]
         assert expr.dtype(SCHEMA) is DataType.FLOAT64
 
     def test_mixed_int_float(self):
@@ -93,11 +95,12 @@ class TestArithmetic:
 
 class TestComparisonsAndBool:
     def test_less_than(self):
-        mask = Comparison("<", ColumnRef("a"), Literal(3)).evaluate(batch())
+        mask = compile_expr(Comparison("<", ColumnRef("a"), Literal(3)))(
+            batch())
         assert list(mask) == [True, True, False, False]
 
     def test_string_equality(self):
-        mask = Comparison("=", ColumnRef("s"), Literal("bar")).evaluate(
+        mask = compile_expr(Comparison("=", ColumnRef("s"), Literal("bar")))(
             batch())
         assert list(mask) == [False, True, False, False]
 
@@ -106,7 +109,7 @@ class TestComparisonsAndBool:
             Comparison("=", ColumnRef("s"), Literal(1)).dtype(SCHEMA)
 
     def test_column_to_column(self):
-        mask = Comparison(">", ColumnRef("b"), ColumnRef("a")).evaluate(
+        mask = compile_expr(Comparison(">", ColumnRef("b"), ColumnRef("a")))(
             batch())
         assert list(mask) == [False, False, False, False]
 
@@ -114,12 +117,13 @@ class TestComparisonsAndBool:
         p = BoolOp("and", (
             Comparison(">", ColumnRef("a"), Literal(1)),
             Comparison("<", ColumnRef("a"), Literal(4))))
-        assert list(p.evaluate(batch())) == [False, True, True, False]
+        assert list(compile_expr(p)(batch())) == [False, True, True, False]
         q = BoolOp("or", (
             Comparison("=", ColumnRef("a"), Literal(1)),
             Comparison("=", ColumnRef("a"), Literal(4))))
-        assert list(q.evaluate(batch())) == [True, False, False, True]
-        assert list(Not(q).evaluate(batch())) == [False, True, True, False]
+        assert list(compile_expr(q)(batch())) == [True, False, False, True]
+        assert list(compile_expr(Not(q))(batch())) == \
+            [False, True, True, False]
 
     def test_boolop_needs_two_parts(self):
         with pytest.raises(PlanError):
@@ -127,25 +131,25 @@ class TestComparisonsAndBool:
 
     def test_between(self):
         p = Between(ColumnRef("a"), Literal(2), Literal(3))
-        assert list(p.evaluate(batch())) == [False, True, True, False]
+        assert list(compile_expr(p)(batch())) == [False, True, True, False]
 
     def test_in_list(self):
         p = InList(ColumnRef("s"), ("foo", "baz"))
-        assert list(p.evaluate(batch())) == [True, False, False, True]
+        assert list(compile_expr(p)(batch())) == [True, False, False, True]
         with pytest.raises(PlanError):
             InList(ColumnRef("s"), ())
 
     def test_like(self):
-        assert list(Like(ColumnRef("s"), "foo%").evaluate(batch())) == \
-            [True, False, True, False]
-        assert list(Like(ColumnRef("s"), "ba_").evaluate(batch())) == \
-            [False, True, False, True]
-        assert list(Like(ColumnRef("s"), "%oba%").evaluate(batch())) == \
-            [False, False, True, False]
+        assert list(compile_expr(Like(ColumnRef("s"), "foo%"))(batch())) \
+            == [True, False, True, False]
+        assert list(compile_expr(Like(ColumnRef("s"), "ba_"))(batch())) \
+            == [False, True, False, True]
+        assert list(compile_expr(Like(ColumnRef("s"), "%oba%"))(batch())) \
+            == [False, False, True, False]
 
     def test_like_escapes_regex_chars(self):
         data = {"s": np.array(["a.c", "abc"], dtype=object)}
-        assert list(Like(ColumnRef("s"), "a.c").evaluate(data)) == \
+        assert list(compile_expr(Like(ColumnRef("s"), "a.c"))(data)) == \
             [True, False]
 
     def test_like_requires_string(self):
@@ -218,8 +222,8 @@ class TestOracleProperties:
     @given(int_arrays(), st.integers(min_value=-50, max_value=50))
     @settings(max_examples=60, deadline=None)
     def test_comparison_matches_python(self, values, threshold):
-        mask = Comparison("<", ColumnRef("a"), Literal(threshold)).evaluate(
-            {"a": values})
+        mask = compile_expr(
+            Comparison("<", ColumnRef("a"), Literal(threshold)))({"a": values})
         expected = [v < threshold for v in values]
         assert list(mask) == expected
 
@@ -227,7 +231,7 @@ class TestOracleProperties:
            st.integers(min_value=-50, max_value=50))
     @settings(max_examples=60, deadline=None)
     def test_between_matches_python(self, values, low, high):
-        mask = Between(ColumnRef("a"), Literal(low),
-                       Literal(high)).evaluate({"a": values})
+        mask = compile_expr(Between(ColumnRef("a"), Literal(low),
+                                    Literal(high)))({"a": values})
         expected = [low <= v <= high for v in values]
         assert list(mask) == expected

@@ -24,6 +24,7 @@ from repro.db.expressions import (
     Literal,
     Not,
 )
+from repro.db.kernels import compile_expr
 
 COLUMNS = ("a", "b")
 STRING_COLUMN = "s"
@@ -99,15 +100,15 @@ class TestExpressionRoundTrip:
     @settings(max_examples=120, deadline=None)
     def test_printed_predicate_reparses_equivalently(self, expr, seed):
         batch = random_batch(seed)
-        original = np.asarray(expr.evaluate(batch), dtype=bool)
-        back = np.asarray(reparse(expr).evaluate(batch), dtype=bool)
+        original = np.asarray(compile_expr(expr)(batch), dtype=bool)
+        back = np.asarray(compile_expr(reparse(expr))(batch), dtype=bool)
         assert np.array_equal(original, back), str(expr)
 
     @given(numeric_exprs(), st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=120, deadline=None)
     def test_printed_arithmetic_reparses_equivalently(self, expr, seed):
         batch = random_batch(seed)
-        original = np.asarray(expr.evaluate(batch))
-        back = np.asarray(reparse(
-            Comparison("=", expr, Literal(0))).left.evaluate(batch))
+        original = np.asarray(compile_expr(expr)(batch))
+        back = np.asarray(compile_expr(reparse(
+            Comparison("=", expr, Literal(0))).left)(batch))
         assert np.array_equal(original, back), str(expr)

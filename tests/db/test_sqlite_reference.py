@@ -1,12 +1,30 @@
 """Regression tests that hold MiniDB against SQLite on the cases where
 the two used to disagree, or where the SQLite reference itself broke."""
 
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
 
-from repro.db import DataType, Database, SystemResult, Table, results_match
+from repro.db import (
+    Arithmetic,
+    Between,
+    BoolOp,
+    ColumnRef,
+    Comparison,
+    DataType,
+    Database,
+    Expr,
+    InList,
+    Like,
+    Literal,
+    Not,
+    SystemResult,
+    Table,
+    parse_select,
+    results_match,
+)
 from repro.db.systems import SQLiteSystem
 from tests.db.reference import check
 
@@ -20,6 +38,46 @@ def _strings_db():
          "s": ["Abc", "abc", "ABC", "a_c", "it's", "a*c"],
          "x": np.array([1.0, np.nan, 3.0, np.nan, 5.0, 6.0])}))
     return db
+
+
+def _node_kinds(expr: Expr) -> set:
+    """The expression classes in the tree under *expr*."""
+    kinds = {type(expr)}
+    for field in dataclasses.fields(expr):
+        value = getattr(expr, field.name)
+        for child in value if isinstance(value, tuple) else (value,):
+            if isinstance(child, Expr):
+                kinds |= _node_kinds(child)
+    return kinds
+
+
+#: One query per expression node kind, over :func:`_strings_db`.
+NODE_QUERIES = {
+    ColumnRef: "SELECT id, s FROM t",
+    Literal: "SELECT id, 7 AS seven FROM t WHERE s = 'abc'",
+    Arithmetic: "SELECT id, id * 2 - x / 4 AS y FROM t",
+    Comparison: "SELECT id FROM t WHERE x >= 3",
+    BoolOp: "SELECT id FROM t WHERE id < 2 OR x > 4 AND id <> 5",
+    Not: "SELECT id FROM t WHERE NOT (s = 'abc')",
+    Between: "SELECT id FROM t WHERE id BETWEEN 1 AND 4",
+    InList: "SELECT id FROM t WHERE s IN ('abc', 'it''s')",
+    Like: "SELECT id FROM t WHERE s LIKE 'a%'",
+}
+
+
+class TestEveryNodeKind:
+    """Each expression node kind runs in a query SQLite checks."""
+
+    @pytest.mark.parametrize("kind", list(NODE_QUERIES),
+                             ids=lambda kind: kind.__name__)
+    def test_node_kind(self, kind):
+        sql = NODE_QUERIES[kind]
+        statement = parse_select(sql)
+        exprs = [item.expr for item in statement.items
+                 if item.expr is not None] + [statement.where]
+        assert any(kind in _node_kinds(expr) for expr in exprs
+                   if expr is not None)
+        check(_strings_db(), sql)
 
 
 class TestRendering:

@@ -8,11 +8,13 @@ factor) for the simulated-hardware measurements.
 
 import pytest
 
+from repro.db import Engine, EngineConfig
 from repro.experiments import (
     run_e01, run_e02, run_e03, run_e04, run_e05, run_e06, run_e07,
     run_e08, run_e09, run_e10, run_e11, run_e12, run_e13, run_e14,
     run_e15, run_e16, run_e17, run_e18, run_e19, run_e20, run_e21,
 )
+from repro.workloads import generate_tpch, tpch_query
 from tests.integration import sim_digest
 
 SF = 0.004  # small scale factor keeps the whole module fast
@@ -132,6 +134,17 @@ class TestE05Profile:
         assert sim_digest(numbers) == (
             "83579e8c1a44d97f4d4215c0789e2d61"
             "6f56c82cd4971ed6e7c409aeeb2dcd87")
+
+    def test_profile_and_trace_text_pinned(self, result):
+        """The rendered profile text, its dict form and Q1's TRACE."""
+        engine = Engine(generate_tpch(sf=SF, seed=42),
+                        EngineConfig(executor="loop"))
+        texts = [(report.format(), report.to_dict())
+                 for report in (result.column_profile,
+                                result.tuple_profile)]
+        assert sim_digest(texts, engine.trace(tpch_query(1))) == (
+            "f590e0d89ce3a8b732a053150d4bc40e"
+            "26047c569676744066d9e69292106e8b")
 
 
 class TestE06Interaction:
