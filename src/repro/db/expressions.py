@@ -1,10 +1,11 @@
-"""Expression AST with vectorised evaluation over column batches.
+"""Expression AST: the typed tree a parsed query's expressions become.
 
-Expressions evaluate against a *batch* — a mapping of column name to
-numpy array — and return a numpy array (boolean arrays for predicates).
 Each node knows its result type, the columns it touches, a cost category
 for the build model (``arithmetic`` vs ``string``), and a node count used
-to charge interpretation CPU cost.
+to charge interpretation CPU cost.  Nodes do not evaluate themselves:
+:func:`repro.db.kernels.compile_expr` turns a tree into one closure over
+column batches (a mapping of column name to numpy array), and that
+closure is the only evaluator the operators run.
 """
 
 from __future__ import annotations
@@ -23,15 +24,11 @@ from repro.db.types import (
 )
 from repro.errors import PlanError, TypeMismatchError
 
-Batch = Mapping[str, np.ndarray]
 Schema = Mapping[str, DataType]
 
 
 class Expr:
     """Base class for all expression nodes."""
-
-    def evaluate(self, batch: Batch) -> np.ndarray:
-        raise NotImplementedError
 
     def dtype(self, schema: Schema) -> DataType:
         raise NotImplementedError
@@ -51,23 +48,9 @@ class Expr:
         raise NotImplementedError
 
 
-def _batch_length(batch: Batch) -> int:
-    for arr in batch.values():
-        return len(arr)
-    return 0
-
-
 @dataclass(frozen=True)
 class ColumnRef(Expr):
     name: str
-
-    def evaluate(self, batch: Batch) -> np.ndarray:
-        try:
-            return batch[self.name]
-        except KeyError:
-            raise PlanError(
-                f"column {self.name!r} not in batch "
-                f"({sorted(batch)})") from None
 
     def dtype(self, schema: Schema) -> DataType:
         try:
@@ -87,16 +70,6 @@ class Literal(Expr):
     value: Any
     declared: DataType = None  # set for DATE literals
 
-    def evaluate(self, batch: Batch) -> np.ndarray:
-        n = _batch_length(batch)
-        value = self.value
-        dt = self.declared or literal_type(value)
-        if dt is DataType.STRING:
-            out = np.empty(n, dtype=object)
-            out[:] = value
-            return out
-        return np.full(n, value, dtype=dt.numpy_dtype)
-
     def dtype(self, schema: Schema) -> DataType:
         return self.declared or literal_type(self.value)
 
@@ -114,16 +87,14 @@ def date_literal(iso_text: str) -> Literal:
     return Literal(value=date_to_days(iso_text), declared=DataType.DATE)
 
 
-_ARITH_OPS = {
+#: Arithmetic operators and the ufuncs :func:`repro.db.kernels.
+#: compile_expr` dispatches them to.
+ARITH_OPS = {
     "+": np.add,
     "-": np.subtract,
     "*": np.multiply,
     "/": np.divide,
 }
-
-#: Public aliases so the kernel compiler (:mod:`repro.db.kernels`)
-#: shares the exact ufunc dispatch tables the interpreter uses.
-ARITH_OPS = _ARITH_OPS
 
 
 @dataclass(frozen=True)
@@ -133,18 +104,8 @@ class Arithmetic(Expr):
     right: Expr
 
     def __post_init__(self):
-        if self.op not in _ARITH_OPS:
+        if self.op not in ARITH_OPS:
             raise PlanError(f"unknown arithmetic operator {self.op!r}")
-
-    def evaluate(self, batch: Batch) -> np.ndarray:
-        left = self.left.evaluate(batch)
-        right = self.right.evaluate(batch)
-        if self.op == "/":
-            return np.divide(left, right,
-                             out=np.zeros(len(left), dtype=np.float64),
-                             where=np.asarray(right) != 0,
-                             casting="unsafe")
-        return _ARITH_OPS[self.op](left, right)
 
     def dtype(self, schema: Schema) -> DataType:
         if self.op == "/":
@@ -164,7 +125,8 @@ class Arithmetic(Expr):
         return f"({self.left} {self.op} {self.right})"
 
 
-_CMP_OPS = {
+#: Comparison operators and their ufuncs, as for :data:`ARITH_OPS`.
+CMP_OPS = {
     "=": np.equal,
     "<>": np.not_equal,
     "<": np.less,
@@ -172,8 +134,6 @@ _CMP_OPS = {
     ">": np.greater,
     ">=": np.greater_equal,
 }
-
-CMP_OPS = _CMP_OPS
 
 
 @dataclass(frozen=True)
@@ -183,13 +143,8 @@ class Comparison(Expr):
     right: Expr
 
     def __post_init__(self):
-        if self.op not in _CMP_OPS:
+        if self.op not in CMP_OPS:
             raise PlanError(f"unknown comparison operator {self.op!r}")
-
-    def evaluate(self, batch: Batch) -> np.ndarray:
-        left = self.left.evaluate(batch)
-        right = self.right.evaluate(batch)
-        return _CMP_OPS[self.op](left, right)
 
     def dtype(self, schema: Schema) -> DataType:
         lt = self.left.dtype(schema)
@@ -227,15 +182,6 @@ class BoolOp(Expr):
         if len(self.parts) < 2:
             raise PlanError(f"{self.op} needs at least two operands")
 
-    def evaluate(self, batch: Batch) -> np.ndarray:
-        masks = [np.asarray(p.evaluate(batch), dtype=bool)
-                 for p in self.parts]
-        combine = np.logical_and if self.op == "and" else np.logical_or
-        out = masks[0]
-        for mask in masks[1:]:
-            out = combine(out, mask)
-        return out
-
     def dtype(self, schema: Schema) -> DataType:
         for part in self.parts:
             part.dtype(schema)
@@ -264,10 +210,6 @@ class BoolOp(Expr):
 class Not(Expr):
     child: Expr
 
-    def evaluate(self, batch: Batch) -> np.ndarray:
-        return np.logical_not(np.asarray(self.child.evaluate(batch),
-                                         dtype=bool))
-
     def dtype(self, schema: Schema) -> DataType:
         self.child.dtype(schema)
         return DataType.INT64
@@ -290,11 +232,6 @@ class Between(Expr):
     expr: Expr
     low: Expr
     high: Expr
-
-    def evaluate(self, batch: Batch) -> np.ndarray:
-        value = self.expr.evaluate(batch)
-        return np.logical_and(value >= self.low.evaluate(batch),
-                              value <= self.high.evaluate(batch))
 
     def dtype(self, schema: Schema) -> DataType:
         self.expr.dtype(schema)
@@ -319,13 +256,6 @@ class InList(Expr):
     def __post_init__(self):
         if not self.values:
             raise PlanError("IN list cannot be empty")
-
-    def evaluate(self, batch: Batch) -> np.ndarray:
-        value = self.expr.evaluate(batch)
-        out = np.zeros(len(value), dtype=bool)
-        for v in self.values:
-            out |= (value == v)
-        return out
 
     def dtype(self, schema: Schema) -> DataType:
         self.expr.dtype(schema)
@@ -365,14 +295,6 @@ class Like(Expr):
             else:
                 parts.append(re.escape(ch))
         return re.compile("^" + "".join(parts) + "$")
-
-    def evaluate(self, batch: Batch) -> np.ndarray:
-        values = self.expr.evaluate(batch)
-        pattern = self._regex()
-        out = np.empty(len(values), dtype=bool)
-        for i, v in enumerate(values):
-            out[i] = bool(pattern.match(v))
-        return out
 
     def dtype(self, schema: Schema) -> DataType:
         if self.expr.dtype(schema) is not DataType.STRING:

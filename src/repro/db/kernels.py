@@ -73,6 +73,7 @@ from repro.db.expressions import (
     Literal,
     Not,
 )
+from repro.db.types import DataType
 from repro.errors import PlanError
 from repro.obs import maybe_span
 
@@ -592,11 +593,13 @@ def expression_cache_clear() -> None:
 def compile_expr(expr: Expr) -> CompiledExpr:
     """A reusable ``batch -> ndarray`` evaluator for *expr*.
 
-    Compilation resolves operator dispatch, literal dtypes and LIKE
-    regexes once per distinct expression tree; repeated queries reuse
-    the cached closure (expressions are frozen dataclasses, hence
-    hashable and safe cache keys).  Semantics mirror
-    :meth:`~repro.db.expressions.Expr.evaluate` exactly.
+    This is MiniDB's one expression evaluator; the operators run
+    nothing else.  Compilation resolves operator dispatch, literal
+    dtypes and LIKE regexes once per distinct expression tree; repeated
+    queries reuse the cached closure (expressions are frozen
+    dataclasses, hence hashable and safe cache keys).  Its answers are
+    checked against SQLite and against NumPy oracles.  A node type it
+    does not know raises :class:`~repro.errors.PlanError`.
     """
     global _expr_cache_hits, _expr_cache_misses
     try:
@@ -625,7 +628,17 @@ def _build_compiled(expr: Expr) -> CompiledExpr:
                     f"({sorted(batch)})") from None
         return read_column
     if isinstance(expr, Literal):
-        return expr.evaluate  # already cheap; dtype resolved inside
+        value = expr.value
+        dtype = expr.dtype({})  # a literal's type needs no schema
+
+        def literal(batch, value=value, dtype=dtype):
+            n = len(next(iter(batch.values()), ()))  # the batch's rows
+            if dtype is DataType.STRING:
+                out = np.empty(n, dtype=object)
+                out[:] = value
+                return out
+            return np.full(n, value, dtype=dtype.numpy_dtype)
+        return literal
     if isinstance(expr, Arithmetic):
         left = compile_expr(expr.left)
         right = compile_expr(expr.right)
@@ -690,8 +703,8 @@ def _build_compiled(expr: Expr) -> CompiledExpr:
                 out[i] = bool(pattern.match(s))
             return out
         return like
-    # Unknown node types fall back to interpreted evaluation.
-    return expr.evaluate
+    raise PlanError(
+        f"cannot compile expression node {type(expr).__name__}")
 
 
 # ---------------------------------------------------------------------------

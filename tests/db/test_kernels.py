@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from repro.db import kernels
-from repro.db.expressions import (
-    Arithmetic,
-    ColumnRef,
-    Comparison,
-    Literal,
-)
+from repro.db.expressions import ColumnRef, Comparison, Expr, Literal
 from repro.errors import PlanError
 
 
@@ -152,9 +147,9 @@ class TestExpressionCache:
         assert kernels.expression_cache_info() == {
             "hits": 0, "misses": 0, "size": 0}
 
-    def test_compiled_matches_evaluate(self):
-        expr = Arithmetic(op="*", left=ColumnRef("v"),
-                          right=Literal(3.0))
-        batch = {"v": np.array([1.0, 2.0, 0.5])}
-        np.testing.assert_allclose(kernels.compile_expr(expr)(batch),
-                                   expr.evaluate(batch))
+    def test_unknown_node_raises_plan_error(self):
+        class Mystery(Expr):
+            pass
+
+        with pytest.raises(PlanError, match="Mystery"):
+            kernels.compile_expr(Mystery())
