@@ -36,7 +36,7 @@ from repro.db.actuals import PlanActuals
 from repro.db.optimizer import PlannerOptions, count_plan_nodes, plan_statement
 from repro.db.parser import normalize_sql, parse_select, strip_explain
 from repro.db.plan import PlanNode
-from repro.db.profiler import ProfileReport, operator_timings
+from repro.db.profiler import ProfileReport
 from repro.db.statistics import DEFAULT_BUCKETS, StatisticsCatalog
 from repro.db.storage import Database
 from repro.errors import DatabaseError
@@ -466,15 +466,14 @@ class Engine:
             "execute": (after_execute - after_optimize).real * 1000.0,
         }
         report = ProfileReport(sql=sql, phase_ms=phase_ms,
-                               operators=operator_timings(plan))
+                               operators=tuple(self._last_actuals.walk()))
         return result, report
 
     def trace(self, sql: str) -> str:
         """TRACE: execute and render per-operator rows and self-times."""
         __, report = self.profile(sql)
         lines = [f"TRACE {sql}"]
-        for op in report.operators:
-            lines.append(op.format(report.execute_ms))
+        lines.extend(report.operator_line(op) for op in report.operators)
         return "\n".join(lines)
 
     # -- introspection ------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Tuple
 
-from repro.db.plan import PlanNode
+from repro.db.actuals import NodeActuals
 from repro.errors import DatabaseError
 
 #: Engine phases, in execution order.
@@ -19,33 +19,16 @@ PHASES = ("parse", "optimize", "execute", "print")
 
 
 @dataclass(frozen=True)
-class OperatorTiming:
-    """One operator's contribution to the execute phase."""
-
-    operator: str
-    self_ms: float
-    rows: int
-
-    def share_of(self, execute_ms: float) -> float:
-        """This operator's fraction of the execute phase, in [0, 1]."""
-        return self.self_ms / execute_ms if execute_ms else 0.0
-
-    def format(self, execute_ms: float) -> str:
-        """One report row.  The share denominator is the *execute
-        phase* only — parse/optimize/print time is not operator time,
-        so including it would understate every operator."""
-        share = 100.0 * self.share_of(execute_ms)
-        return (f"  {self.operator:<44} {self.self_ms:>10.3f} ms "
-                f"{share:>5.1f}%  rows={self.rows}")
-
-
-@dataclass(frozen=True)
 class ProfileReport:
-    """The full timing breakdown of one query execution (simulated ms)."""
+    """The full timing breakdown of one query execution (simulated ms).
+
+    ``operators`` holds the executed plan's per-operator records
+    (:class:`~repro.db.actuals.NodeActuals`), in pre-order.
+    """
 
     sql: str
     phase_ms: Mapping[str, float]
-    operators: Tuple[OperatorTiming, ...]
+    operators: Tuple[NodeActuals, ...]
 
     def __post_init__(self):
         unknown = [p for p in self.phase_ms if p not in PHASES]
@@ -68,7 +51,20 @@ class ProfileReport:
         total = self.total_ms
         return self.phase_ms.get(phase, 0.0) / total if total else 0.0
 
-    def dominant_operator(self) -> OperatorTiming:
+    def share_of_execute(self, op: NodeActuals) -> float:
+        """*op*'s fraction of the execute phase, in [0, 1]."""
+        execute = self.execute_ms
+        return op.self_ms / execute if execute else 0.0
+
+    def operator_line(self, op: NodeActuals) -> str:
+        """One report row.  The share denominator is the *execute
+        phase* only — parse/optimize/print time is not operator time,
+        so including it would understate every operator."""
+        share = 100.0 * self.share_of_execute(op)
+        return (f"  {op.operator:<44} {op.self_ms:>10.3f} ms "
+                f"{share:>5.1f}%  rows={op.actual_rows}")
+
+    def dominant_operator(self) -> NodeActuals:
         if not self.operators:
             raise DatabaseError("profile has no operator timings")
         return max(self.operators, key=lambda op: op.self_ms)
@@ -83,9 +79,7 @@ class ProfileReport:
         lines.append(f"{'Total':<9}{self.total_ms:>10.3f} msec")
         if self.operators:
             lines.append("operators:")
-            execute = self.execute_ms
-            for op in self.operators:
-                lines.append(op.format(execute))
+            lines.extend(self.operator_line(op) for op in self.operators)
         return "\n".join(lines)
 
     def to_dict(self) -> Dict[str, Any]:
@@ -94,32 +88,19 @@ class ProfileReport:
         Operator shares are normalised against the execute phase, the
         same denominator :meth:`format` prints.
         """
-        execute = self.execute_ms
         return {
             "sql": self.sql,
             "phase_ms": dict(self.phase_ms),
             "total_ms": self.total_ms,
-            "execute_ms": execute,
+            "execute_ms": self.execute_ms,
             "operators": [
                 {
                     "operator": op.operator,
                     "self_ms": op.self_ms,
-                    "rows": op.rows,
-                    "share_of_execute": op.share_of(execute),
+                    "rows": op.actual_rows,
+                    "share_of_execute": self.share_of_execute(op),
                 }
                 for op in self.operators
             ],
         }
 
-
-def operator_timings(plan: PlanNode) -> Tuple[OperatorTiming, ...]:
-    """Collect per-operator self times from an executed plan."""
-    timings = []
-    for node in plan.walk():
-        if node.rows_out is None:
-            raise DatabaseError(
-                f"plan node {node.name()} was never executed")
-        timings.append(OperatorTiming(operator=node.name(),
-                                      self_ms=node.self_seconds * 1000.0,
-                                      rows=node.rows_out))
-    return tuple(timings)

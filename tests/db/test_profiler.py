@@ -6,11 +6,10 @@ from repro.db import (
     Database,
     DataType,
     Engine,
-    OperatorTiming,
+    NodeActuals,
     ProfileReport,
     SeqScan,
     Table,
-    operator_timings,
 )
 from repro.errors import DatabaseError
 
@@ -22,13 +21,20 @@ def make_engine():
     return Engine(db)
 
 
+def node(operator, self_ms, rows):
+    """A one-operator record, as an executed plan would report it."""
+    return NodeActuals(operator=operator, kind="SeqScan", est_rows=rows,
+                       actual_rows=rows, batches=1, self_ms=self_ms,
+                       total_ms=self_ms, buffer_hits=0, buffer_misses=0)
+
+
 class TestProfileReport:
     def make_report(self):
         return ProfileReport(
             sql="SELECT a FROM t",
             phase_ms={"parse": 1.0, "optimize": 2.0, "execute": 7.0},
-            operators=(OperatorTiming("SeqScan(t)", 5.0, 3),
-                       OperatorTiming("Project(a)", 2.0, 3)))
+            operators=(node("SeqScan(t)", 5.0, 3),
+                       node("Project(a)", 2.0, 3)))
 
     def test_totals(self):
         report = self.make_report()
@@ -63,10 +69,14 @@ class TestProfileReport:
         assert report.phase_share("parse") == 0.0
 
     def test_operator_format_shows_share(self):
-        timing = OperatorTiming("SeqScan(t)", 5.0, 3)
-        text = timing.format(execute_ms=10.0)
+        scan = node("SeqScan(t)", 5.0, 3)
+        report = ProfileReport(sql="q", phase_ms={"execute": 10.0},
+                               operators=(scan,))
+        text = report.operator_line(scan)
         assert "50.0%" in text and "rows=3" in text
-        assert "0.0%" in timing.format(execute_ms=0.0)
+        idle = ProfileReport(sql="q", phase_ms={"execute": 0.0},
+                             operators=(scan,))
+        assert "0.0%" in idle.operator_line(scan)
 
     def test_operator_shares_use_execute_phase_denominator(self):
         # The operator table must normalise against the execute phase
@@ -95,19 +105,20 @@ class TestProfileReport:
     def test_to_dict_zero_execute_shares(self):
         report = ProfileReport(
             sql="q", phase_ms={"parse": 1.0},
-            operators=(OperatorTiming("SeqScan(t)", 0.0, 0),))
+            operators=(node("SeqScan(t)", 0.0, 0),))
         ops = report.to_dict()["operators"]
         assert ops[0]["share_of_execute"] == 0.0
 
 
-class TestOperatorTimings:
+class TestProfiledOperators:
     def test_unexecuted_plan_rejected(self):
         with pytest.raises(DatabaseError, match="never executed"):
-            operator_timings(SeqScan("t"))
+            NodeActuals.from_node(SeqScan("t"))
 
     def test_executed_plan_collected(self):
         engine = make_engine()
-        result = engine.execute("SELECT a FROM t")
-        timings = operator_timings(result.plan)
-        assert any("SeqScan" in t.operator for t in timings)
-        assert all(t.rows >= 0 for t in timings)
+        __, report = engine.profile("SELECT a FROM t")
+        # The report's operators are the plan's actuals, pre-order.
+        assert report.operators == tuple(engine.last_actuals().walk())
+        assert any("SeqScan" in op.operator for op in report.operators)
+        assert all(op.actual_rows >= 0 for op in report.operators)

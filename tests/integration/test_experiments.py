@@ -127,7 +127,7 @@ class TestE05Profile:
     def test_simulated_profiles_pinned(self, result):
         """Every simulated phase and operator time of both profiles."""
         numbers = [(report.phase_ms,
-                    [(op.operator, op.self_ms, op.rows)
+                    [(op.operator, op.self_ms, op.actual_rows)
                      for op in report.operators])
                    for report in (result.column_profile,
                                   result.tuple_profile)]
