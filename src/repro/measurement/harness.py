@@ -50,7 +50,6 @@ from repro.measurement.retry import RetryPolicy
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs import Trace, Tracer
-    from repro.parallel.executor import CampaignExecutor
 
 
 class Workload:
@@ -131,6 +130,73 @@ class FailedPoint:
         return (f"point {self.index} {dict(self.config)}: "
                 f"{self.error_type} after {self.attempts} attempt(s) "
                 f"({self.error_message})")
+
+
+@dataclass(frozen=True)
+class PointMeasurement:
+    """What measuring one design point produced.
+
+    Either ``metrics`` and the protocol ``result`` or the ``error``
+    that stopped the point; ``elapsed_s`` is the time the point took
+    against the harness clock in both cases.
+    """
+
+    elapsed_s: float
+    metrics: Optional[Dict[str, float]] = None
+    result: Optional[ProtocolResult] = None
+    error: Optional[ReproError] = None
+
+    @property
+    def attempts(self) -> int:
+        """Protocol executions the point took, retries included."""
+        if self.error is None:
+            return self.result.attempts
+        if isinstance(self.error, RetryExhaustedError):
+            return self.error.attempts
+        return 1
+
+
+def measure_point(workload: Workload, config: Mapping[str, Any],
+                  protocol: RunProtocol, *, clock: Optional[Clock],
+                  elapsed_clock: Clock, label: str,
+                  retry: Optional[RetryPolicy],
+                  extra_metrics: Optional[
+                      Callable[[Mapping[str, Any]], Mapping[str, float]]]
+                  ) -> PointMeasurement:
+    """Set *workload* up for *config* and measure it under *protocol*.
+
+    The metrics are ``real_ms``, ``user_ms`` and ``sys_ms`` of the
+    protocol's picked run plus ``extra_metrics(config)``, which may not
+    shadow them.  A :class:`~repro.errors.ReproError` is returned in
+    the measurement, not raised; what to do with it is the caller's
+    choice (:func:`run_harness` and
+    :func:`repro.parallel.executor.execute_point` both call this).
+    """
+    make_cold = workload.make_cold if workload.supports_cold else None
+    started = elapsed_clock.sample()
+    try:
+        workload.setup(config)
+        result = protocol.execute(workload.run, make_cold=make_cold,
+                                  clock=clock, label=label, retry=retry)
+        picked = result.picked
+        metrics = {
+            "real_ms": picked.real_ms(),
+            "user_ms": picked.user_ms(),
+            "sys_ms": picked.system_ms(),
+        }
+        if extra_metrics is not None:
+            extra = dict(extra_metrics(config))
+            overlap = set(extra) & set(metrics)
+            if overlap:
+                raise MeasurementError(
+                    f"extra metrics shadow built-ins: {sorted(overlap)}")
+            metrics.update(extra)
+    except ReproError as exc:
+        return PointMeasurement(
+            elapsed_s=(elapsed_clock.sample() - started).real, error=exc)
+    return PointMeasurement(
+        elapsed_s=(elapsed_clock.sample() - started).real,
+        metrics=metrics, result=result)
 
 
 @dataclass(frozen=True)
@@ -261,7 +327,7 @@ class HarnessReport:
         return "; ".join(parts)
 
 
-def run_harness(design: Design, workload: Optional[Workload],
+def run_harness(design: Design, workload: Workload,
                 protocol: RunProtocol,
                 clock: Optional[Clock] = None,
                 extra_metrics: Optional[
@@ -271,8 +337,7 @@ def run_harness(design: Design, workload: Optional[Workload],
                 on_error: str = "raise",
                 checkpoint: Optional[Any] = None,
                 resumables: Optional[Mapping[str, Any]] = None,
-                tracer: Optional[Tracer] = None,
-                executor: "Optional[CampaignExecutor]" = None
+                tracer: Optional[Tracer] = None
                 ) -> HarnessReport:
     """Measure *workload* at every design point under *protocol*.
 
@@ -313,47 +378,10 @@ def run_harness(design: Design, workload: Optional[Workload],
         design point in spans, and attaches the finished
         :class:`~repro.obs.Trace` to :attr:`HarnessReport.trace`.
         Build it on the campaign's clock for a deterministic trace.
-    executor:
-        Optional :class:`~repro.parallel.executor.CampaignExecutor`
-        (e.g. :class:`~repro.parallel.ProcessCampaignExecutor`).  The
-        harness then delegates the whole campaign to the executor,
-        which shards the design's points across worker processes and
-        merges the per-shard results — the report's documentation,
-        result set and canonical trace are byte-identical to a
-        sequential run of the same spec.  The executor rebuilds its
-        own workload per point from its
-        :class:`~repro.parallel.CampaignSpec` (pass ``workload=None``
-        or a matching live workload; it is not used), validates
-        *design*, *protocol* and *retry* against the spec, and refuses
-        combinations it cannot honour (a live *tracer*, *resumables*,
-        *extra_metrics*, a custom *clock*) — enable tracing on the
-        executor and build per-point hooks into the spec's factory
-        instead.
     """
     if on_error not in ("raise", "record"):
         raise MeasurementError(
             f"on_error must be 'raise' or 'record', got {on_error!r}")
-    if executor is not None:
-        if tracer is not None:
-            raise MeasurementError(
-                "a live tracer cannot observe worker processes; "
-                "enable tracing on the executor (trace=True) instead")
-        if resumables:
-            raise MeasurementError(
-                "resumables are not used with an executor: per-point "
-                "stacks are derived from seeds, so shard checkpoints "
-                "carry no component state")
-        if extra_metrics is not None or clock is not None:
-            raise MeasurementError(
-                "extra_metrics/clock must come from the executor's "
-                "CampaignSpec factory, not the run_harness call")
-        return executor.execute(
-            design=design, workload=workload, protocol=protocol,
-            name=name, retry=retry, on_error=on_error,
-            checkpoint=checkpoint)
-    if workload is None:
-        raise MeasurementError(
-            "workload may only be omitted when an executor is given")
     if resumables and checkpoint is None:
         raise MeasurementError(
             "resumables only make sense with a checkpoint path")
@@ -367,7 +395,6 @@ def run_harness(design: Design, workload: Optional[Workload],
     failures: List[FailedPoint] = []
     resumed = 0
     state_restored = False
-    make_cold = workload.make_cold if workload.supports_cold else None
 
     with ExitStack() as campaign_stack:
         if tracer is not None:
@@ -406,65 +433,48 @@ def run_harness(design: Design, workload: Optional[Workload],
                     point_span = point_stack.enter_context(tracer.span(
                         f"harness.point[{point.index}]", "harness",
                         index=point.index, config=dict(point.config)))
-                started = elapsed_clock.sample()
-                try:
-                    workload.setup(point.config)
-                    outcome = protocol.execute(
-                        workload.run, make_cold=make_cold, clock=clock,
-                        label=name, retry=retry)
-                    picked = outcome.picked
-                    metrics = {
-                        "real_ms": picked.real_ms(),
-                        "user_ms": picked.user_ms(),
-                        "sys_ms": picked.system_ms(),
-                    }
-                    if extra_metrics is not None:
-                        extra = dict(extra_metrics(point.config))
-                        overlap = set(extra) & set(metrics)
-                        if overlap:
-                            raise MeasurementError(
-                                f"extra metrics shadow built-ins: "
-                                f"{sorted(overlap)}")
-                        metrics.update(extra)
-                except ReproError as exc:
+                measured = measure_point(
+                    workload, point.config, protocol, clock=clock,
+                    elapsed_clock=elapsed_clock, label=name, retry=retry,
+                    extra_metrics=extra_metrics)
+                error = measured.error
+                if error is not None:
                     if on_error == "raise":
-                        raise
-                    elapsed = (elapsed_clock.sample() - started).real
-                    attempts = exc.attempts \
-                        if isinstance(exc, RetryExhaustedError) else 1
+                        raise error
                     failed = FailedPoint(
                         index=point.index, config=dict(point.config),
-                        error_type=type(exc).__name__,
-                        error_message=str(exc),
-                        attempts=attempts, elapsed_s=elapsed)
+                        error_type=type(error).__name__,
+                        error_message=str(error),
+                        attempts=measured.attempts,
+                        elapsed_s=measured.elapsed_s)
                     failures.append(failed)
                     if point_span is not None:
                         point_span.set(status="failed",
                                        error_type=failed.error_type,
-                                       attempts=attempts)
+                                       attempts=failed.attempts)
                     if journal is not None:
                         journal.append(CheckpointEntry(
                             index=point.index,
                             config=dict(point.config),
-                            status="failed", attempts=attempts,
-                            elapsed_s=elapsed,
+                            status="failed", attempts=failed.attempts,
+                            elapsed_s=failed.elapsed_s,
                             error_type=failed.error_type,
                             error_message=failed.error_message,
                             state=_capture_states(resumables)))
                     continue
-                elapsed = (elapsed_clock.sample() - started).real
+                metrics = measured.metrics
                 results.add(point.config, metrics)
-                raw[point.index] = outcome
+                raw[point.index] = measured.result
                 if point_span is not None:
                     point_span.set(status="ok",
-                                   attempts=outcome.attempts,
+                                   attempts=measured.attempts,
                                    real_ms=metrics["real_ms"])
                 if journal is not None:
                     journal.append(CheckpointEntry(
                         index=point.index, config=dict(point.config),
                         status="ok", metrics=metrics,
-                        attempts=outcome.attempts,
-                        elapsed_s=elapsed,
+                        attempts=measured.attempts,
+                        elapsed_s=measured.elapsed_s,
                         state=_capture_states(resumables)))
 
     return HarnessReport(results=results, raw=raw, protocol=protocol,

@@ -13,16 +13,13 @@ any ``jobs`` value.
 Entry points:
 
 - :func:`run_campaign` — the parallel twin of
-  :func:`~repro.measurement.harness.run_harness`;
-- :class:`ProcessCampaignExecutor` — plugs into
-  ``run_harness(..., executor=)`` for existing call sites;
+  :func:`~repro.measurement.harness.run_harness`; both measure each
+  point with :func:`~repro.measurement.harness.measure_point`;
 - ``python -m repro.repeat.run <suite> --jobs N`` — suite-level wiring.
 """
 
 from repro.parallel.executor import (
     DEFAULT_START_METHOD,
-    CampaignExecutor,
-    ProcessCampaignExecutor,
     default_jobs,
     execute_point,
     run_campaign,
@@ -45,14 +42,12 @@ from repro.parallel.spec import (
 )
 
 __all__ = [
-    "CampaignExecutor",
     "CampaignFactory",
     "CampaignSpec",
     "CampaignStack",
     "DEFAULT_START_METHOD",
     "ParallelReport",
     "PointOutcome",
-    "ProcessCampaignExecutor",
     "ShardSummary",
     "default_jobs",
     "derive_point_seed",

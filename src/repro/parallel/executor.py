@@ -41,16 +41,11 @@ import multiprocessing
 import os
 from contextlib import ExitStack
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import (
-    MeasurementError,
-    ParallelError,
-    ReproError,
-    RetryExhaustedError,
-)
+from repro.errors import MeasurementError, ParallelError
 from repro.measurement.checkpoint import CheckpointEntry, CheckpointJournal
-from repro.measurement.harness import HarnessReport
+from repro.measurement.harness import measure_point
 from repro.obs import Tracer
 from repro.parallel.merge import (
     ParallelReport,
@@ -109,10 +104,7 @@ def execute_point(spec: CampaignSpec, index: int,
     if point is None:
         raise ParallelError(
             f"design {stack.design.describe()!r} has no point {index}")
-    workload = stack.workload
-    make_cold = workload.make_cold if workload.supports_cold else None
     tracer = Tracer(clock=stack.clock) if trace else None
-    outcome: Optional[PointOutcome] = None
     with ExitStack() as point_stack:
         point_span = None
         if tracer is not None:
@@ -120,48 +112,31 @@ def execute_point(spec: CampaignSpec, index: int,
             point_span = point_stack.enter_context(tracer.span(
                 f"harness.point[{index}]", "harness", index=index,
                 config=dict(point.config), seed=seed))
-        started = stack.clock.sample()
-        try:
-            workload.setup(point.config)
-            result = stack.protocol.execute(
-                workload.run, make_cold=make_cold, clock=stack.clock,
-                label=spec.name, retry=stack.retry)
-            picked = result.picked
-            metrics = {
-                "real_ms": picked.real_ms(),
-                "user_ms": picked.user_ms(),
-                "sys_ms": picked.system_ms(),
-            }
-            if stack.extra_metrics is not None:
-                extra = dict(stack.extra_metrics(point.config))
-                overlap = set(extra) & set(metrics)
-                if overlap:
-                    raise MeasurementError(
-                        f"extra metrics shadow built-ins: "
-                        f"{sorted(overlap)}")
-                metrics.update(extra)
-        except ReproError as exc:
-            elapsed = (stack.clock.sample() - started).real
-            attempts = exc.attempts \
-                if isinstance(exc, RetryExhaustedError) else 1
+        measured = measure_point(
+            stack.workload, point.config, stack.protocol,
+            clock=stack.clock, elapsed_clock=stack.clock, label=spec.name,
+            retry=stack.retry, extra_metrics=stack.extra_metrics)
+        error = measured.error
+        if error is not None:
             if point_span is not None:
                 point_span.set(status="failed",
-                               error_type=type(exc).__name__,
-                               attempts=attempts)
+                               error_type=type(error).__name__,
+                               attempts=measured.attempts)
             outcome = PointOutcome(
                 index=index, config=dict(point.config),
-                status="failed", attempts=attempts, elapsed_s=elapsed,
-                error_type=type(exc).__name__, error_message=str(exc),
+                status="failed", attempts=measured.attempts,
+                elapsed_s=measured.elapsed_s,
+                error_type=type(error).__name__, error_message=str(error),
                 seed=seed)
         else:
-            elapsed = (stack.clock.sample() - started).real
             if point_span is not None:
-                point_span.set(status="ok", attempts=result.attempts,
-                               real_ms=metrics["real_ms"])
+                point_span.set(status="ok", attempts=measured.attempts,
+                               real_ms=measured.metrics["real_ms"])
             outcome = PointOutcome(
                 index=index, config=dict(point.config), status="ok",
-                metrics=metrics, attempts=result.attempts,
-                elapsed_s=elapsed, seed=seed, raw=result)
+                metrics=measured.metrics, attempts=measured.attempts,
+                elapsed_s=measured.elapsed_s, seed=seed,
+                raw=measured.result)
     if tracer is not None:
         finished = tracer.trace()
         outcome.spans = finished.spans
@@ -334,67 +309,3 @@ def run_campaign(spec: CampaignSpec, jobs: int = 1, *,
         expected_indices=expected, jobs=jobs, shard_of=shard_of,
         trace=trace)
 
-
-class CampaignExecutor:
-    """Interface accepted by ``run_harness(..., executor=)``.
-
-    Implementations own *how* points are executed; the harness
-    delegates the whole campaign to :meth:`execute` and returns its
-    report unchanged.
-    """
-
-    def execute(self, *, design: Any = None, workload: Any = None,
-                protocol: Any = None, name: Optional[str] = None,
-                retry: Any = None, on_error: str = "raise",
-                checkpoint: "str | Path | None" = None) -> HarnessReport:
-        raise NotImplementedError
-
-
-class ProcessCampaignExecutor(CampaignExecutor):
-    """A :class:`CampaignExecutor` backed by :func:`run_campaign`.
-
-    Carries the :class:`~repro.parallel.spec.CampaignSpec` that worker
-    processes rebuild from.  When the caller also passes a live design,
-    protocol or retry policy to ``run_harness``, they are validated
-    against the spec's own (``describe()`` / equality) so a spec that
-    drifted from the call site fails loudly; the live *workload* cannot
-    be compared and is ignored — the spec's factory is authoritative.
-    """
-
-    def __init__(self, spec: CampaignSpec, jobs: int = 1,
-                 trace: bool = False,
-                 start_method: Optional[str] = None):
-        if jobs < 1:
-            raise ParallelError(f"jobs must be >= 1, got {jobs}")
-        self.spec = spec
-        self.jobs = jobs
-        self.trace = trace
-        self.start_method = start_method
-
-    def describe(self) -> str:
-        return (f"process executor: jobs={self.jobs}, "
-                f"{self.spec.describe()}")
-
-    def execute(self, *, design: Any = None, workload: Any = None,
-                protocol: Any = None, name: Optional[str] = None,
-                retry: Any = None, on_error: str = "raise",
-                checkpoint: "str | Path | None" = None) -> HarnessReport:
-        stack = self.spec.build()
-        if design is not None \
-                and design.describe() != stack.design.describe():
-            raise ParallelError(
-                f"executor spec builds design "
-                f"{stack.design.describe()!r} but the harness was "
-                f"given {design.describe()!r}")
-        if protocol is not None and protocol != stack.protocol:
-            raise ParallelError(
-                f"executor spec builds protocol "
-                f"{stack.protocol.describe()!r} but the harness was "
-                f"given {protocol.describe()!r}")
-        if retry is not None and retry != stack.retry:
-            raise ParallelError(
-                "executor spec and harness disagree on the retry "
-                "policy")
-        return run_campaign(self.spec, self.jobs, on_error=on_error,
-                            checkpoint=checkpoint, trace=self.trace,
-                            start_method=self.start_method)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import FactorSpace, FullFactorialDesign, two_level
 from repro.core.designs import Design
-from repro.errors import MeasurementError, ParallelError, WorkloadError
+from repro.errors import ParallelError, WorkloadError
 from repro.measurement import (
     NoiseModel,
     PickRule,
@@ -14,12 +14,9 @@ from repro.measurement import (
     Workload,
 )
 from repro.measurement.checkpoint import CheckpointJournal
-from repro.measurement.harness import run_harness
 from repro.parallel import (
     CampaignSpec,
     CampaignStack,
-    ParallelReport,
-    ProcessCampaignExecutor,
     execute_point,
     run_campaign,
     shard_points,
@@ -259,57 +256,3 @@ class TestCheckpointResume:
         assert len(entries) == 3
         assert all(entry.status == "ok" for entry in entries)
 
-
-class TestRunHarnessExecutor:
-    def test_delegation_returns_a_parallel_report(self):
-        spec = spec_for()
-        stack = spec.build()
-        executor = ProcessCampaignExecutor(spec, jobs=2)
-        report = run_harness(stack.design, None, stack.protocol,
-                             executor=executor)
-        assert isinstance(report, ParallelReport)
-        assert report.jobs == 2
-        assert report.documentation() == \
-            run_campaign(spec, jobs=1).documentation()
-
-    def test_design_mismatch_fails_loudly(self):
-        spec = spec_for()
-        space = FactorSpace([two_level("other", "a", "b")])
-        executor = ProcessCampaignExecutor(spec)
-        with pytest.raises(ParallelError, match="design"):
-            run_harness(FullFactorialDesign(space), None, PROTOCOL,
-                        executor=executor)
-
-    def test_protocol_mismatch_fails_loudly(self):
-        spec = spec_for()
-        other = RunProtocol(state=State.HOT, repetitions=7,
-                            pick=PickRule.LAST, warmups=1)
-        executor = ProcessCampaignExecutor(spec)
-        with pytest.raises(ParallelError, match="protocol"):
-            run_harness(spec.build().design, None, other,
-                        executor=executor)
-
-    def test_live_tracer_is_refused(self):
-        from repro.obs import Tracer
-        spec = spec_for()
-        executor = ProcessCampaignExecutor(spec)
-        with pytest.raises(MeasurementError, match="tracer"):
-            run_harness(spec.build().design, None, PROTOCOL,
-                        executor=executor, tracer=Tracer())
-
-    def test_resumables_are_refused(self):
-        spec = spec_for()
-        executor = ProcessCampaignExecutor(spec)
-        with pytest.raises(MeasurementError, match="resumables"):
-            run_harness(spec.build().design, None, PROTOCOL,
-                        executor=executor,
-                        resumables={"noise": NoiseModel()})
-
-    def test_workload_required_without_executor(self):
-        spec = spec_for()
-        with pytest.raises(MeasurementError, match="workload"):
-            run_harness(spec.build().design, None, PROTOCOL)
-
-    def test_executor_jobs_validated(self):
-        with pytest.raises(ParallelError, match="jobs"):
-            ProcessCampaignExecutor(spec_for(), jobs=0)
