@@ -72,6 +72,7 @@ from repro.db.expressions import (
     Like,
     Literal,
     Not,
+    conjoin,
 )
 from repro.db.types import DataType
 from repro.errors import PlanError
@@ -644,10 +645,11 @@ def _build_compiled(expr: Expr) -> CompiledExpr:
         right = compile_expr(expr.right)
         if expr.op == "/":
             def divide(batch, left=left, right=right):
+                # x / 0 is NULL (NaN), as in SQL.
                 lv = left(batch)
                 rv = right(batch)
                 return np.divide(lv, rv,
-                                 out=np.zeros(len(lv), dtype=np.float64),
+                                 out=np.full(len(lv), np.nan),
                                  where=np.asarray(rv) != 0,
                                  casting="unsafe")
             return divide
@@ -656,7 +658,7 @@ def _build_compiled(expr: Expr) -> CompiledExpr:
     if isinstance(expr, Comparison):
         left = compile_expr(expr.left)
         right = compile_expr(expr.right)
-        ufunc = CMP_OPS[expr.op]
+        ufunc = _not_equal if expr.op == "<>" else CMP_OPS[expr.op]
         return lambda batch: ufunc(left(batch), right(batch))
     if isinstance(expr, BoolOp):
         parts = [compile_expr(p) for p in expr.parts]
@@ -669,9 +671,7 @@ def _build_compiled(expr: Expr) -> CompiledExpr:
             return out
         return boolean
     if isinstance(expr, Not):
-        child = compile_expr(expr.child)
-        return lambda batch: np.logical_not(
-            np.asarray(child(batch), dtype=bool))
+        return _false_rows(expr.child)
     if isinstance(expr, Between):
         value = compile_expr(expr.expr)
         low = compile_expr(expr.low)
@@ -705,6 +705,50 @@ def _build_compiled(expr: Expr) -> CompiledExpr:
         return like
     raise PlanError(
         f"cannot compile expression node {type(expr).__name__}")
+
+
+def _not_equal(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """SQL ``<>``: unlike ``np.not_equal``, false where a side is NULL."""
+    out = np.not_equal(left, right)
+    for side in (left, right):
+        if side.dtype.kind == "f":
+            out &= ~np.isnan(side)
+    return out
+
+
+#: ``a OP b`` is FALSE exactly where ``a NEGATED[OP] b`` is TRUE.
+_NEGATED = {"=": "<>", "<>": "=", "<": ">=", "<=": ">", ">": "<=", ">=": "<"}
+
+
+def _false_rows(expr: Expr) -> CompiledExpr:
+    """The rows where predicate *expr* is FALSE: what ``NOT expr`` keeps.
+
+    SQL logic has three values.  A comparison with a NULL operand is
+    UNKNOWN, neither TRUE nor FALSE, so NOT is not the complement of
+    the TRUE rows.  The negation is pushed down instead, and what
+    remains compiles as TRUE rows: a comparison flips its operator,
+    AND and OR follow De Morgan's laws, BETWEEN becomes two strict
+    comparisons and NOT IN a conjunction of ``<>``.
+    """
+    if isinstance(expr, Not):
+        return compile_expr(expr.child)
+    if isinstance(expr, Comparison):
+        return compile_expr(
+            Comparison(_NEGATED[expr.op], expr.left, expr.right))
+    if isinstance(expr, BoolOp):
+        return compile_expr(BoolOp("or" if expr.op == "and" else "and",
+                                   tuple(Not(p) for p in expr.parts)))
+    if isinstance(expr, Between):
+        return compile_expr(BoolOp("or", (
+            Comparison("<", expr.expr, expr.low),
+            Comparison(">", expr.expr, expr.high))))
+    if isinstance(expr, InList):
+        return compile_expr(conjoin([
+            Comparison("<>", expr.expr, Literal(value))
+            for value in expr.values]))
+    # LIKE (strings are never NULL) and plain values: the complement.
+    child = compile_expr(expr)
+    return lambda batch: np.logical_not(np.asarray(child(batch), dtype=bool))
 
 
 # ---------------------------------------------------------------------------

@@ -167,6 +167,59 @@ class TestAggregateNulls:
             check(_null_values_db(), f"SELECT {agg} AS a FROM t WHERE k < 0")
 
 
+def _nulls_db():
+    """Five rows with NULLs in ``x`` and zeros in ``d``."""
+    db = Database(name="nulls")
+    db.create_table(Table.from_columns(
+        "t", [("id", DataType.INT64), ("d", DataType.INT64),
+              ("x", DataType.FLOAT64)],
+        {"id": np.arange(5, dtype=np.int64),
+         "d": np.array([1, 0, 2, 0, 4], dtype=np.int64),
+         "x": np.array([1.0, np.nan, 3.0, np.nan, 5.0])}))
+    return db
+
+
+class TestPredicateNulls:
+    """A predicate keeps the rows where it is TRUE.  A NULL operand
+    makes a comparison UNKNOWN, and NOT of UNKNOWN is UNKNOWN."""
+
+    @pytest.fixture(params=[True, False], ids=["zone_maps", "no_zone_maps"])
+    def zone_maps(self, request):
+        return request.param
+
+    @pytest.mark.parametrize("sql, expected", [
+        ("SELECT id FROM t WHERE x <> 3", {0, 4}),
+        ("SELECT id FROM t WHERE NOT (x > 2)", {0}),
+        ("SELECT id FROM t WHERE NOT (x BETWEEN 2 AND 4)", {0, 4}),
+        ("SELECT id FROM t WHERE NOT (x IN (1, 5))", {2}),
+        # Row 3: x > 2 is UNKNOWN but id < 3 is FALSE, so the AND is
+        # FALSE and NOT keeps the NULL row.
+        ("SELECT id FROM t WHERE NOT (x > 2 AND id < 3)", {0, 3, 4}),
+        ("SELECT id FROM t WHERE NOT (x > 4 OR id = 0)", {2}),
+    ], ids=["not_equal", "not_greater", "not_between", "not_in",
+            "not_and", "not_or"])
+    def test_where(self, sql, expected, zone_maps):
+        rows = check(_nulls_db(), sql, zone_maps=zone_maps)
+        assert {row[0] for row in rows} == expected
+
+    def test_division_by_zero_is_null(self, zone_maps):
+        rows = check(_nulls_db(), "SELECT id, id / d AS q FROM t ORDER BY id",
+                     zone_maps=zone_maps)
+        assert [bool(np.isnan(q)) for __, q in rows] == \
+            [False, True, False, True, False]
+
+    def test_zone_maps_and_filter_agree_on_not_equal(self, zone_maps):
+        x = np.ones(4096)
+        x[:1024] = np.nan        # block 0 is all NULL
+        x[1024:1030] = np.nan    # block 1 holds six NULLs
+        db = Database(name="null_blocks")
+        db.create_table(Table.from_columns(
+            "t", [("x", DataType.FLOAT64)], {"x": x}))
+        rows = check(db, "SELECT COUNT(*) AS n FROM t WHERE x <> 3",
+                     zone_maps=zone_maps)
+        assert rows == ((3066,),)
+
+
 def _null_keys_db():
     db = Database(name="null_keys")
     db.create_table(Table.from_columns(
