@@ -471,8 +471,19 @@ def taipalus_checklist(systems: Sequence[DatabaseSystem],
         f"{len(reference)} table(s) on every system")
 
     stages = {p.stage for p in protocols.values()}
-    add("stage-match", len(stages) == 1,
-        f"mixed stages {sorted(stages)}" if len(stages) > 1 else
+    # A cold protocol on a system that cannot flush its caches runs
+    # warm in fact (the harness skips the missing make_cold).
+    unflushable = sorted(s.name for s in systems
+                         if protocols[s.name].stage == "cold"
+                         and getattr(s, "make_cold", None) is None)
+    stage_problems = []
+    if len(stages) > 1:
+        stage_problems.append(f"mixed stages {sorted(stages)}")
+    if unflushable:
+        stage_problems.append(
+            f"cold stage requested but no make_cold on {unflushable}")
+    add("stage-match", not stage_problems,
+        "; ".join(stage_problems) or
         f"all systems measured {next(iter(stages))}")
 
     shapes = {(p.warmup, p.repetitions) for p in protocols.values()}

@@ -152,6 +152,20 @@ class TestUnfairRuns:
         assert not report.is_fair
         assert "UNFAIR" in report.format()
 
+    def test_cold_stage_without_make_cold_flagged(self):
+        # Every system asks for cold, but SQLite cannot flush: its
+        # "cold" runs are warm, so the stages do not really match.
+        harness = FairComparisonHarness(
+            default_systems(),
+            protocol=ComparisonProtocol(stage="cold", warmup=0,
+                                        repetitions=2))
+        report = harness.run(tiny_star(), spec())
+        check = report.pitfall("stage-match")
+        assert not check.passed
+        assert "sqlite" in check.detail
+        assert "minidb" not in check.detail
+        assert not report.is_fair
+
     def test_single_metric_flagged(self):
         harness = FairComparisonHarness(
             default_systems(),
