@@ -14,12 +14,14 @@ default matches the benchmark suite.
 
 from __future__ import annotations
 
+import math
 import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, List, Optional, Sequence, Tuple
 
+from repro.errors import ConfigError
 from repro.repeat.properties import Properties
 
 
@@ -113,13 +115,20 @@ def regenerate(output_dir: "str | Path", sf: float = 0.01
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     properties = Properties({"sf": "0.01"})
-    rest = properties.apply_cli_overrides(argv)
+    try:
+        rest = properties.apply_cli_overrides(argv)
+        sf = properties.get_float("sf")
+        if not (math.isfinite(sf) and sf > 0):
+            raise ConfigError(f"sf must be a positive number, got {sf}")
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if len(rest) > 1 or (rest and rest[0].startswith("-")):
         print("usage: python -m repro.experiments.report "
               "[output-dir] [-Dsf=0.01]", file=sys.stderr)
         return 2
     output_dir = Path(rest[0]) if rest else Path("reproduction_report")
-    sections = regenerate(output_dir, sf=properties.get_float("sf"))
+    sections = regenerate(output_dir, sf=sf)
     total = sum(s.wall_seconds for s in sections)
     for section in sections:
         print(f"{section.experiment}: {section.title} "

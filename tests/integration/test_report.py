@@ -43,3 +43,12 @@ class TestMain:
     def test_usage_error(self, capsys):
         assert main(["a", "b"]) == 2
         assert "usage" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sf", ["0", "-1", "abc"])
+    def test_bad_scale_factor_is_a_usage_error(self, sf, tmp_path,
+                                               capsys):
+        out = tmp_path / "r"
+        assert main([str(out), f"-Dsf={sf}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert not out.exists()
