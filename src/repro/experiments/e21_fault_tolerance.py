@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.core import FactorSpace, TwoLevelFactorialDesign, two_level
@@ -44,7 +43,6 @@ from repro.measurement import (
     speedup as speedup_estimate,
 )
 from repro.measurement.harness import HarnessReport, run_harness
-from repro.parallel import CampaignSpec, CampaignStack, run_campaign
 from repro.workloads import generate_tpch, tpch_query
 
 
@@ -183,59 +181,6 @@ def _campaign(database, sql: str, plan: FaultPlan,
     return report, injector
 
 
-@lru_cache(maxsize=4)
-def _tpch_database(sf: float, data_seed: int):
-    """One TPC-H database per (sf, seed) per process.
-
-    The campaign factory runs once per design point; caching the
-    expensive data generation makes per-point stack rebuilding cheap
-    inside every worker process.
-    """
-    return generate_tpch(sf=sf, seed=data_seed)
-
-
-def build_e21_campaign(params: Mapping[str, Any],
-                       seed: int) -> CampaignStack:
-    """Campaign factory: one design point's faulty simulated stack.
-
-    The sequential sweep in :func:`run_e21` shares one clock and one
-    fault stream across the whole campaign; a *sharded* campaign cannot
-    (workers own nothing in common), so here each point gets a private
-    clock and a private :class:`FaultPlan` stream seeded from the
-    per-point ``seed``.  ``params``: ``sf``, ``data_seed``, ``query``,
-    ``fault_probability``, ``max_attempts``.
-    """
-    database = _tpch_database(float(params.get("sf", 0.002)),
-                              int(params.get("data_seed", 42)))
-    sql = tpch_query(int(params.get("query", 1)))
-    probability = float(params.get("fault_probability", 0.2))
-    clock = VirtualClock()
-    injector = None
-    if probability > 0.0:
-        injector = FaultPlan.uniform(probability, seed=seed,
-                                     sites=("client.run",)).injector()
-    workload = FaultyQueryWorkload(database, sql, clock, injector)
-    retry = RetryPolicy(max_attempts=int(params.get("max_attempts", 3)),
-                        backoff_base_s=0.05, backoff_factor=2.0)
-    return CampaignStack(design=TwoLevelFactorialDesign(make_space()),
-                         workload=workload, protocol=CAMPAIGN_PROTOCOL,
-                         clock=clock, retry=retry)
-
-
-def _parallel_campaign(sf: float, data_seed: int, query: int,
-                       fault_probability: float, max_attempts: int,
-                       seed: int, jobs: int) -> HarnessReport:
-    """One budget's campaign through the sharded executor."""
-    spec = CampaignSpec(
-        factory="repro.experiments.e21_fault_tolerance:"
-                "build_e21_campaign",
-        params={"sf": sf, "data_seed": data_seed, "query": query,
-                "fault_probability": fault_probability,
-                "max_attempts": max_attempts},
-        seed=seed, name="e21")
-    return run_campaign(spec, jobs=jobs, on_error="record")
-
-
 def _analysis_diagnostic(report: HarnessReport) -> str:
     """Refusal message when failed points reach the error analysis."""
     design = TwoLevelFactorialDesign(make_space())
@@ -280,18 +225,12 @@ def _tuned_speedup(report: HarnessReport
 
 def run_e21(sf: float = 0.002, seed: int = 42, query: int = 1,
             fault_probability: float = 0.2,
-            budgets: Tuple[int, ...] = (1, 2, 3, 5),
-            jobs: Optional[int] = None) -> E21Result:
+            budgets: Tuple[int, ...] = (1, 2, 3, 5)) -> E21Result:
     """Run the survival-rate sweep; see the module docstring.
 
-    With ``jobs=None`` (the default) the campaigns run sequentially on
-    one shared clock and fault stream — the original experiment.  With
-    ``jobs=N`` each budget's campaign goes through the sharded executor
-    (:mod:`repro.parallel`): per-point fault streams, so the numbers
-    differ from the sequential path, but they are identical for *every*
-    value of ``N`` — ``jobs=1`` reproduces ``jobs=8`` byte for byte.
-    Every attempt a fault kills is exactly one injected fault, so the
-    ``faults`` column is then ``total_attempts - measured``.
+    Each budget's campaign shares one clock and one fault stream
+    across its design points, and every budget replays the same seeded
+    fault plan.
     """
     database = generate_tpch(sf=sf, seed=seed)
     sql = tpch_query(query)
@@ -301,14 +240,7 @@ def run_e21(sf: float = 0.002, seed: int = 42, query: int = 1,
     outcomes = []
     diagnostic = ""
     for budget in budgets:
-        if jobs is None:
-            report, injector = _campaign(database, sql, plan, budget)
-            faults_fired = injector.n_injected
-        else:
-            report = _parallel_campaign(
-                sf, seed, query, fault_probability, budget,
-                seed=seed, jobs=jobs)
-            faults_fired = report.total_attempts - report.n_measured
+        report, injector = _campaign(database, sql, plan, budget)
         if report.n_points != n_points:
             raise DesignError(
                 f"campaign lost points: {report.n_points} accounted, "
@@ -318,7 +250,7 @@ def run_e21(sf: float = 0.002, seed: int = 42, query: int = 1,
             measured=report.n_measured,
             failed=report.n_failed,
             retries=report.total_retries,
-            faults_fired=faults_fired,
+            faults_fired=injector.n_injected,
             survival_rate=report.survival_rate,
             documentation=report.documentation()))
         if report.failures and not diagnostic:

@@ -22,9 +22,8 @@ demonstrates the full observability surface built in :mod:`repro.obs`:
    ``retry.backoff`` events at the exact simulated times they fired,
    and exports byte-identically across same-seed re-runs.
 
-With ``trace_dir`` set (or via ``python -m
-repro.experiments.e22_trace_contrast OUTDIR``, which CI uses to publish
-the artifact), the campaign trace is written as a JSONL span log and a
+With ``trace_dir`` set (the report does this for E22's artifact
+directory), the campaign trace is written as a JSONL span log and a
 Chrome ``trace_event`` file (load it at ``chrome://tracing``), and the
 contrast flamegraphs as a text report.
 """
@@ -32,7 +31,6 @@ contrast flamegraphs as a text report.
 from __future__ import annotations
 
 import os
-import sys
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -284,19 +282,3 @@ def run_e22(sf: float = 0.002, seed: int = 42, query: int = 1,
         ci_seeds=ci_seeds if slowdown_ci is not None else 0,
     )
 
-
-def main(argv=None) -> int:
-    """CLI used by CI to produce the trace artifact:
-    ``python -m repro.experiments.e22_trace_contrast OUTDIR``."""
-    argv = list(sys.argv[1:] if argv is None else argv)
-    if len(argv) != 1 or argv[0] in ("-h", "--help"):
-        print("usage: python -m repro.experiments.e22_trace_contrast "
-              "OUTDIR", file=sys.stderr)
-        return 2
-    result = run_e22(trace_dir=argv[0])
-    print(result.format())
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -20,16 +20,12 @@ variation (:func:`~repro.core.variation.allocate_variation_replicated`),
 and a distribution-free confidence interval around the median
 loop/vectorized speedup
 (:func:`~repro.measurement.stats.median_confidence_interval`).
-
-Like E07/E21 the campaign also exists in sharded form:
-:func:`run_e23_campaign` goes through :mod:`repro.parallel` and is
-byte-identical for every ``jobs`` value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Tuple
 
 from repro.core import (
     FactorSpace,
@@ -53,11 +49,6 @@ from repro.measurement import (
     speedup as speedup_estimate,
 )
 from repro.measurement.harness import HarnessReport
-from repro.measurement.results import ResultSet
-from repro.parallel import CampaignSpec, CampaignStack, run_campaign
-from repro.parallel.merge import ParallelReport
-from repro.repeat.properties import Properties
-from repro.repeat.suite import ExperimentSuite
 from repro.workloads.microbench import (
     aggregate_microbenchmark,
     join_microbenchmark,
@@ -72,6 +63,10 @@ E23_PROTOCOL = RunProtocol(state=State.HOT, repetitions=3,
 
 #: Default low/high input sizes of the ``rows`` factor.
 DEFAULT_ROWS = (2_000, 16_000)
+
+#: Seed of the micro-benchmark data; every design point queries the
+#: same data, and only the noise stream follows the campaign seed.
+DATA_SEED = 7
 
 
 def make_space(rows_low: int = DEFAULT_ROWS[0],
@@ -96,11 +91,9 @@ class VectorizedWorkload(Workload):
     deterministic).
     """
 
-    def __init__(self, clock: VirtualClock, noise: NoiseModel,
-                 data_seed: int = 7):
+    def __init__(self, clock: VirtualClock, noise: NoiseModel):
         self.clock = clock
         self.noise = noise
-        self.data_seed = data_seed
         self._engines: List[Engine] = []
         self._sqls: List[str] = []
 
@@ -112,15 +105,15 @@ class VectorizedWorkload(Workload):
                                      plan_cache=config["cache"] == "on")
         n = int(config["rows"])
         join = join_microbenchmark(n_left=n, n_right=max(1, n // 8),
-                                   seed=self.data_seed,
+                                   seed=DATA_SEED,
                                    config=engine_config)
         agg = aggregate_microbenchmark(n_rows=n, n_groups=64,
-                                       seed=self.data_seed,
+                                       seed=DATA_SEED,
                                        config=engine_config)
         # A selective scan so the selection-vector factor has a Filter
         # to act on (the join/aggregate queries carry no WHERE clause).
         select = select_microbenchmark(n_rows=n, selectivity=0.05,
-                                       seed=self.data_seed,
+                                       seed=DATA_SEED,
                                        config=engine_config)
         # The builders give each engine a private clock; re-wire them
         # onto the campaign clock so the harness measures them.
@@ -231,25 +224,10 @@ def _speedups(report: HarnessReport,
     return ratios, rows, cis
 
 
-def _analyze(report: HarnessReport, design: TwoLevelFactorialDesign,
-             confidence: float) -> E23Result:
-    replicated = [report.raw[point.index].reals
-                  for point in design.points()]
-    replicated_ms = [[r * 1000.0 for r in row] for row in replicated]
-    analysis = analyze_replicated(design, replicated_ms,
-                                  confidence=confidence)
-    variation = allocate_variation_replicated(design, replicated_ms)
-    ratios, rows, cis = _speedups(report, design)
-    speedup = median_confidence_interval(ratios, confidence=confidence)
-    return E23Result(report=report, analysis=analysis,
-                     variation=variation, speedup=speedup,
-                     speedup_rows=tuple(rows), speedup_cis=tuple(cis))
-
-
 def run_e23(seed: int = 7, rows_low: int = DEFAULT_ROWS[0],
             rows_high: int = DEFAULT_ROWS[1], noise: float = 0.02,
             confidence: float = 0.90) -> E23Result:
-    """Run the sequential campaign and analyse it.
+    """Run the campaign and analyse it.
 
     One shared virtual clock and one seeded noise stream across the
     whole design, like the tutorial's single-machine campaigns.
@@ -259,88 +237,14 @@ def run_e23(seed: int = 7, rows_low: int = DEFAULT_ROWS[0],
     workload = VectorizedWorkload(
         clock, NoiseModel(seed=seed, relative_std=noise))
     report = run_harness(design, workload, E23_PROTOCOL, clock=clock,
-                         name="e23")
-    return _analyze(report.require_complete(), design, confidence)
-
-
-# ---------------------------------------------------------------------------
-# Sharded form: the campaign through repro.parallel.
-# ---------------------------------------------------------------------------
-
-def build_e23_campaign(params: Mapping[str, Any],
-                       seed: int) -> CampaignStack:
-    """Campaign factory: one design point's private stack.
-
-    ``params``: ``rows_low``/``rows_high`` (the ``rows`` factor
-    levels), ``noise`` (relative std of the perturbation),
-    ``data_seed`` (microbenchmark data generation — shared across
-    points so every point queries identical data).  The per-point
-    ``seed`` only feeds the noise stream.
-    """
-    clock = VirtualClock()
-    workload = VectorizedWorkload(
-        clock,
-        NoiseModel(seed=seed,
-                   relative_std=float(params.get("noise", 0.02))),
-        data_seed=int(params.get("data_seed", 7)))
-    design = TwoLevelFactorialDesign(make_space(
-        int(params.get("rows_low", DEFAULT_ROWS[0])),
-        int(params.get("rows_high", DEFAULT_ROWS[1]))))
-    return CampaignStack(design=design, workload=workload,
-                         protocol=E23_PROTOCOL, clock=clock)
-
-
-def run_e23_campaign(seed: int = 7, jobs: int = 1,
-                     rows_low: int = DEFAULT_ROWS[0],
-                     rows_high: int = DEFAULT_ROWS[1],
-                     noise: float = 0.02,
-                     checkpoint: Optional[str] = None,
-                     trace: bool = False) -> ParallelReport:
-    """The E23 campaign through the sharded executor.
-
-    Byte-identical for every ``jobs`` value (per-point seeds and
-    clocks; see :mod:`repro.parallel`).
-    """
-    spec = CampaignSpec(
-        factory="repro.experiments.e23_vectorized:build_e23_campaign",
-        params={"rows_low": rows_low, "rows_high": rows_high,
-                "noise": noise},
-        seed=seed, name="e23")
-    return run_campaign(spec, jobs=jobs, checkpoint=checkpoint,
-                        trace=trace)
-
-
-def analyze_campaign(report: HarnessReport, seed: int = 7,
-                     rows_low: int = DEFAULT_ROWS[0],
-                     rows_high: int = DEFAULT_ROWS[1],
-                     confidence: float = 0.90) -> E23Result:
-    """:func:`run_e23`-style analysis of a (possibly sharded) report."""
-    design = TwoLevelFactorialDesign(make_space(rows_low, rows_high))
-    return _analyze(report.require_complete(), design, confidence)
-
-
-# ---------------------------------------------------------------------------
-# repro.repeat entry point: PYTHONPATH=src python -m repro.repeat.run \
-#     repro.experiments.e23_vectorized
-# ---------------------------------------------------------------------------
-
-def _experiment(properties: Properties) -> ResultSet:
-    jobs = properties.get_int("jobs", 1)
-    trace = properties.get_bool("trace", False)
-    checkpoint = properties.get("checkpoint", "") or None
-    report = run_e23_campaign(jobs=jobs, trace=trace,
-                              checkpoint=checkpoint)
-    return report.results
-
-
-def build_suite(root: str = "suite_e23") -> ExperimentSuite:
-    """The one-command suite wrapper around the sharded campaign."""
-    suite = ExperimentSuite(root, name="e23")
-    suite.add("e23-vectorized", _experiment,
-              description="loop vs vectorized executor, 2^4 factorial",
-              expected_minutes=2.0, plot_x="rows", plot_y="real_ms")
-    return suite
-
-
-if __name__ == "__main__":  # pragma: no cover - manual entry point
-    print(run_e23().format())
+                         name="e23").require_complete()
+    replicated_ms = [[r * 1000.0 for r in report.raw[point.index].reals]
+                     for point in design.points()]
+    analysis = analyze_replicated(design, replicated_ms,
+                                  confidence=confidence)
+    variation = allocate_variation_replicated(design, replicated_ms)
+    ratios, rows, cis = _speedups(report, design)
+    speedup = median_confidence_interval(ratios, confidence=confidence)
+    return E23Result(report=report, analysis=analysis,
+                     variation=variation, speedup=speedup,
+                     speedup_rows=tuple(rows), speedup_cis=tuple(cis))

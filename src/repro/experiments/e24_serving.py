@@ -38,14 +38,12 @@ import itertools
 import json
 import multiprocessing
 import os
-import sys
 from dataclasses import dataclass
 from typing import (
     Any,
     Dict,
     List,
     Mapping,
-    Optional,
     Sequence,
     Tuple,
 )
@@ -553,11 +551,3 @@ def build_suite(root: str = "suite_e24") -> ExperimentSuite:
               expected_minutes=2.0, plot_x="load", plot_y="p99_ms")
     return suite
 
-
-if __name__ == "__main__":  # pragma: no cover - manual entry point
-    e24_result = run_e24()
-    print(e24_result.format())
-    check_charts(e24_result)
-    if len(sys.argv) > 1:
-        for path in export_artifacts(e24_result, sys.argv[1]):
-            print(f"wrote {path}")

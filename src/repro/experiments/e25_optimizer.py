@@ -20,9 +20,6 @@ measures what the policy is worth.  Three questions, three instruments:
    node's ``est_rows`` annotation against the executed ``rows_out``;
    the q-error scatter (max(est/act, act/est)) is exported as a JSON
    artifact for CI.
-
-Like E23 the campaign also exists in sharded form
-(:func:`run_e25_campaign` through :mod:`repro.parallel`).
 """
 
 from __future__ import annotations
@@ -30,7 +27,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import sys
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
@@ -66,11 +62,6 @@ from repro.measurement import (
     run_harness,
 )
 from repro.measurement.harness import HarnessReport
-from repro.measurement.results import ResultSet
-from repro.parallel import CampaignSpec, CampaignStack, run_campaign
-from repro.parallel.merge import ParallelReport
-from repro.repeat.properties import Properties
-from repro.repeat.suite import ExperimentSuite
 
 #: Measurement protocol: hot system, 3 measured repetitions per point.
 #: The warmup fills the buffer pool and the plan cache, so measured
@@ -80,6 +71,10 @@ E25_PROTOCOL = RunProtocol(state=State.HOT, repetitions=3,
 
 #: Default low/high fact-table sizes of the ``rows`` factor.
 DEFAULT_ROWS = (2_000, 8_000)
+
+#: Seed of the star-schema data; every design point queries the same
+#: data, and only the noise stream follows the campaign seed.
+DATA_SEED = 7
 
 #: Dimension-table sizes (fixed across the ``rows`` factor).
 N_CUST = 200
@@ -193,11 +188,9 @@ class OptimizerWorkload(Workload):
     nonzero experimental-error estimate.
     """
 
-    def __init__(self, clock: VirtualClock, noise: NoiseModel,
-                 data_seed: int = 7):
+    def __init__(self, clock: VirtualClock, noise: NoiseModel):
         self.clock = clock
         self.noise = noise
-        self.data_seed = data_seed
         self._engine: Optional[Engine] = None
         self._sqls: List[str] = []
 
@@ -208,8 +201,7 @@ class OptimizerWorkload(Workload):
             optimizer=str(config["optimizer"]),
             cost_model=calibrated_model() if cost_based else None,
             plan_cache=True)
-        db = star_database(seed=self.data_seed,
-                           n_fact=int(config["rows"]))
+        db = star_database(seed=DATA_SEED, n_fact=int(config["rows"]))
         self._engine = Engine(db, engine_config, clock=self.clock)
         if cost_based:
             self._engine.analyze()  # unmeasured: setup, not run
@@ -531,27 +523,10 @@ def _speedups(report: HarnessReport,
     return ratios, rows
 
 
-def _analyze(report: HarnessReport, design: TwoLevelFactorialDesign,
-             confidence: float, seed: int, rows_high: int) -> E25Result:
-    replicated = [report.raw[point.index].reals
-                  for point in design.points()]
-    replicated_ms = [[r * 1000.0 for r in row] for row in replicated]
-    analysis = analyze_replicated(design, replicated_ms,
-                                  confidence=confidence)
-    variation = allocate_variation_replicated(design, replicated_ms)
-    ratios, rows = _speedups(report, design)
-    speedup = median_confidence_interval(ratios, confidence=confidence)
-    return E25Result(
-        report=report, analysis=analysis, variation=variation,
-        speedup=speedup, speedup_rows=tuple(rows),
-        plan_spaces=explore_plan_space(seed=seed, n_fact=rows_high),
-        qerrors=collect_qerrors(seed=seed, n_fact=rows_high))
-
-
 def run_e25(seed: int = 7, rows_low: int = DEFAULT_ROWS[0],
             rows_high: int = DEFAULT_ROWS[1], noise: float = 0.02,
             confidence: float = 0.90) -> E25Result:
-    """Run the sequential campaign and analyse it.
+    """Run the campaign and analyse it.
 
     One shared virtual clock and one seeded noise stream across the
     whole design; the plan-space and q-error instruments run on their
@@ -562,89 +537,19 @@ def run_e25(seed: int = 7, rows_low: int = DEFAULT_ROWS[0],
     workload = OptimizerWorkload(
         clock, NoiseModel(seed=seed, relative_std=noise))
     report = run_harness(design, workload, E25_PROTOCOL, clock=clock,
-                         name="e25")
-    return _analyze(report.require_complete(), design, confidence,
-                    seed=workload.data_seed, rows_high=rows_high)
-
-
-# ---------------------------------------------------------------------------
-# Sharded form: the campaign through repro.parallel.
-# ---------------------------------------------------------------------------
-
-def build_e25_campaign(params: Mapping[str, Any],
-                       seed: int) -> CampaignStack:
-    """Campaign factory: one design point's private stack.
-
-    ``params``: ``rows_low``/``rows_high`` (the ``rows`` factor
-    levels), ``noise`` (relative std of the perturbation),
-    ``data_seed`` (star-schema data generation — shared across points
-    so every point queries identical data).  The per-point ``seed``
-    only feeds the noise stream.
-    """
-    clock = VirtualClock()
-    workload = OptimizerWorkload(
-        clock,
-        NoiseModel(seed=seed,
-                   relative_std=float(params.get("noise", 0.02))),
-        data_seed=int(params.get("data_seed", 7)))
-    design = TwoLevelFactorialDesign(make_space(
-        int(params.get("rows_low", DEFAULT_ROWS[0])),
-        int(params.get("rows_high", DEFAULT_ROWS[1]))))
-    return CampaignStack(design=design, workload=workload,
-                         protocol=E25_PROTOCOL, clock=clock)
-
-
-def run_e25_campaign(seed: int = 7, jobs: int = 1,
-                     rows_low: int = DEFAULT_ROWS[0],
-                     rows_high: int = DEFAULT_ROWS[1],
-                     noise: float = 0.02,
-                     checkpoint: Optional[str] = None,
-                     trace: bool = False) -> ParallelReport:
-    """The E25 campaign through the sharded executor.
-
-    Byte-identical for every ``jobs`` value (per-point seeds and
-    clocks; see :mod:`repro.parallel`).
-    """
-    spec = CampaignSpec(
-        factory="repro.experiments.e25_optimizer:build_e25_campaign",
-        params={"rows_low": rows_low, "rows_high": rows_high,
-                "noise": noise},
-        seed=seed, name="e25")
-    return run_campaign(spec, jobs=jobs, checkpoint=checkpoint,
-                        trace=trace)
-
-
-def analyze_campaign(report: HarnessReport, seed: int = 7,
-                     rows_low: int = DEFAULT_ROWS[0],
-                     rows_high: int = DEFAULT_ROWS[1],
-                     confidence: float = 0.90) -> E25Result:
-    """:func:`run_e25`-style analysis of a (possibly sharded) report."""
-    design = TwoLevelFactorialDesign(make_space(rows_low, rows_high))
-    return _analyze(report.require_complete(), design, confidence,
-                    seed=seed, rows_high=rows_high)
-
-
-# ---------------------------------------------------------------------------
-# repro.repeat entry point + CI artifact export.
-# ---------------------------------------------------------------------------
-
-def _experiment(properties: Properties) -> ResultSet:
-    jobs = properties.get_int("jobs", 1)
-    trace = properties.get_bool("trace", False)
-    checkpoint = properties.get("checkpoint", "") or None
-    report = run_e25_campaign(jobs=jobs, trace=trace,
-                              checkpoint=checkpoint)
-    return report.results
-
-
-def build_suite(root: str = "suite_e25") -> ExperimentSuite:
-    """The one-command suite wrapper around the sharded campaign."""
-    suite = ExperimentSuite(root, name="e25")
-    suite.add("e25-optimizer", _experiment,
-              description="heuristic vs cost-based optimizer, "
-                          "2^3 factorial",
-              expected_minutes=2.0, plot_x="rows", plot_y="real_ms")
-    return suite
+                         name="e25").require_complete()
+    replicated_ms = [[r * 1000.0 for r in report.raw[point.index].reals]
+                     for point in design.points()]
+    analysis = analyze_replicated(design, replicated_ms,
+                                  confidence=confidence)
+    variation = allocate_variation_replicated(design, replicated_ms)
+    ratios, rows = _speedups(report, design)
+    speedup = median_confidence_interval(ratios, confidence=confidence)
+    return E25Result(
+        report=report, analysis=analysis, variation=variation,
+        speedup=speedup, speedup_rows=tuple(rows),
+        plan_spaces=explore_plan_space(seed=DATA_SEED, n_fact=rows_high),
+        qerrors=collect_qerrors(seed=DATA_SEED, n_fact=rows_high))
 
 
 def export_artifacts(result: E25Result, outdir: str) -> List[str]:
@@ -663,10 +568,3 @@ def export_artifacts(result: E25Result, outdir: str) -> List[str]:
     paths.append(summary)
     return paths
 
-
-if __name__ == "__main__":  # pragma: no cover - manual entry point
-    e25_result = run_e25()
-    print(e25_result.format())
-    if len(sys.argv) > 1:
-        for path in export_artifacts(e25_result, sys.argv[1]):
-            print(f"wrote {path}")

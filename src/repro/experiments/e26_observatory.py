@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import json
 import os
-import sys
 from dataclasses import dataclass
 from typing import List, Tuple
 
@@ -254,10 +253,3 @@ def export_artifacts(result: E26Result, out_dir: str) -> List[str]:
         } for s in result.scenarios], handle, indent=2, sort_keys=True)
     return [feedback_path, gate_path]
 
-
-if __name__ == "__main__":  # pragma: no cover - manual entry point
-    e26_result = run_e26()
-    print(e26_result.format())
-    if len(sys.argv) > 1:
-        for path in export_artifacts(e26_result, sys.argv[1]):
-            print(f"wrote {path}")

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import json
 import os
-import sys
 from dataclasses import dataclass
 from typing import List, Tuple
 
@@ -150,10 +149,3 @@ def export_artifacts(result: E27Result, out_dir: str) -> List[str]:
         }, handle, indent=2, sort_keys=True)
     return [path]
 
-
-if __name__ == "__main__":  # pragma: no cover - manual entry point
-    e27_result = run_e27()
-    print(e27_result.format())
-    if len(sys.argv) > 1:
-        for artifact in export_artifacts(e27_result, sys.argv[1]):
-            print(f"wrote {artifact}")

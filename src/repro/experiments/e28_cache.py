@@ -29,24 +29,19 @@ shape, and what the assertions pin:
 - *in cache* partitioning is pure overhead: the curve never
   meaningfully exceeds 1.0x (advisory, not load-bearing).
 
-The sequential :func:`run_e28` additionally measures *wall-clock*
+:func:`run_e28` additionally measures *wall-clock*
 speedups of the same plans.  On this Python/NumPy engine the radix
 partitioning work is real but the cache benefit is not (the simulated
 hierarchy exists only in the cost model), so the wall-clock CI is
 reported honestly — typically at or below 1.0x — as a worked example of
 the tutorial's "simulated speedups are claims about the model, not the
 machine".
-
-Like E23/E25 the campaign also exists in sharded form:
-:func:`run_e28_campaign` goes through :mod:`repro.parallel` and is
-byte-identical for every ``jobs`` value.
 """
 
 from __future__ import annotations
 
-import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
@@ -70,11 +65,6 @@ from repro.measurement import (
     speedup as speedup_estimate,
 )
 from repro.measurement.harness import HarnessReport
-from repro.measurement.results import ResultSet
-from repro.parallel import CampaignSpec, CampaignStack, run_campaign
-from repro.parallel.merge import ParallelReport
-from repro.repeat.properties import Properties
-from repro.repeat.suite import ExperimentSuite
 
 #: Measurement protocol: hot runs, 5 measured repetitions per point so
 #: the bootstrap has a real sample to resample.
@@ -193,7 +183,7 @@ class E28Result:
     #: Best non-zero bit level per regime (by median-protocol speedup).
     sweet_spots: Mapping[str, int]
     #: Wall-clock restatement of the out-of-cache sweet spot vs the
-    #: hash baseline (sequential path only; None in campaign analyses).
+    #: hash baseline (None when run with ``wall_clock=False``).
     wall_speedup: Optional[ConfidenceInterval] = None
 
     def points(self, regime: str) -> Tuple[CurvePoint, ...]:
@@ -236,9 +226,7 @@ class E28Result:
         return "\n".join(lines)
 
 
-def _analyze(report: HarnessReport,
-             wall_speedup: Optional[ConfidenceInterval] = None
-             ) -> E28Result:
+def _analyze(report: HarnessReport) -> E28Result:
     design = FullFactorialDesign(make_space())
     reals: Dict[Tuple[str, int], List[float]] = {}
     for point in design.points():
@@ -268,8 +256,7 @@ def _analyze(report: HarnessReport,
                 best_bits, best_speedup = bits, ci.mean
         sweet_spots[regime] = best_bits
     return E28Result(report=report, curve=tuple(curve),
-                     sweet_spots=dict(sweet_spots),
-                     wall_speedup=wall_speedup)
+                     sweet_spots=dict(sweet_spots))
 
 
 def _wall_speedup(data_seed: int, bits: int,
@@ -304,7 +291,7 @@ def _wall_speedup(data_seed: int, bits: int,
 def run_e28(seed: int = 7, data_seed: int = 7,
             noise: float = DEFAULT_NOISE,
             wall_clock: bool = True) -> E28Result:
-    """Run the sequential campaign and analyse it.
+    """Run the campaign and analyse it.
 
     One shared virtual clock and noise stream across the design (the
     tutorial's single-machine campaign); ``wall_clock=False`` skips the
@@ -319,108 +306,7 @@ def run_e28(seed: int = 7, data_seed: int = 7,
                          name="e28")
     result = _analyze(report.require_complete())
     if wall_clock:
-        result = E28Result(
-            report=result.report, curve=result.curve,
-            sweet_spots=result.sweet_spots,
-            wall_speedup=_wall_speedup(
-                data_seed, result.sweet_spots["out_of_cache"]))
+        result = replace(result, wall_speedup=_wall_speedup(
+            data_seed, result.sweet_spots["out_of_cache"]))
     return result
 
-
-# ---------------------------------------------------------------------------
-# Sharded form: the campaign through repro.parallel.
-# ---------------------------------------------------------------------------
-
-def build_e28_campaign(params: Mapping[str, Any],
-                       seed: int) -> CampaignStack:
-    """Campaign factory: one design point's private stack.
-
-    ``params``: ``noise`` (relative std of the perturbation) and
-    ``data_seed`` (join data generation — shared across points so every
-    point joins identical data).  The per-point ``seed`` only feeds the
-    noise stream.
-    """
-    clock = VirtualClock()
-    workload = RadixCurveWorkload(
-        clock,
-        NoiseModel(seed=seed,
-                   relative_std=float(params.get("noise",
-                                                 DEFAULT_NOISE))),
-        data_seed=int(params.get("data_seed", 7)))
-    return CampaignStack(design=FullFactorialDesign(make_space()),
-                         workload=workload, protocol=E28_PROTOCOL,
-                         clock=clock)
-
-
-def run_e28_campaign(seed: int = 7, jobs: int = 1,
-                     noise: float = DEFAULT_NOISE,
-                     checkpoint: Optional[str] = None,
-                     trace: bool = False) -> ParallelReport:
-    """The E28 campaign through the sharded executor.
-
-    Byte-identical for every ``jobs`` value (per-point seeds and
-    clocks; see :mod:`repro.parallel`).
-    """
-    spec = CampaignSpec(
-        factory="repro.experiments.e28_cache:build_e28_campaign",
-        params={"noise": noise},
-        seed=seed, name="e28")
-    return run_campaign(spec, jobs=jobs, checkpoint=checkpoint,
-                        trace=trace)
-
-
-def analyze_campaign(report: HarnessReport) -> E28Result:
-    """:func:`run_e28`-style analysis of a (possibly sharded) report.
-
-    No wall-clock restatement: worker wall times are not reproducible
-    and never enter the byte-identity contract.
-    """
-    return _analyze(report.require_complete())
-
-
-# ---------------------------------------------------------------------------
-# repro.repeat entry point: PYTHONPATH=src python -m repro.repeat.run \
-#     repro.experiments.e28_cache
-# ---------------------------------------------------------------------------
-
-def _experiment(properties: Properties) -> ResultSet:
-    jobs = properties.get_int("jobs", 1)
-    trace = properties.get_bool("trace", False)
-    checkpoint = properties.get("checkpoint", "") or None
-    report = run_e28_campaign(jobs=jobs, trace=trace,
-                              checkpoint=checkpoint)
-    return report.results
-
-
-def build_suite(root: str = "suite_e28") -> ExperimentSuite:
-    """The one-command suite wrapper around the sharded campaign."""
-    suite = ExperimentSuite(root, name="e28")
-    suite.add("e28-radix-curve", _experiment,
-              description="radix-partitioned join speedup curve, "
-                          "in-cache vs out-of-cache builds",
-              expected_minutes=2.0, plot_x="bits", plot_y="real_ms")
-    return suite
-
-
-def main(argv=None) -> int:
-    """CLI: ``python -m repro.experiments.e28_cache [OUTDIR]`` prints
-    the curve; with OUTDIR, also writes ``e28_curve.txt`` for CI."""
-    argv = list(sys.argv[1:] if argv is None else argv)
-    if len(argv) > 1 or (argv and argv[0] in ("-h", "--help")):
-        print("usage: python -m repro.experiments.e28_cache [OUTDIR]",
-              file=sys.stderr)
-        return 2
-    result = run_e28()
-    text = result.format()
-    print(text)
-    if argv:
-        import os
-        os.makedirs(argv[0], exist_ok=True)
-        path = os.path.join(argv[0], "e28_curve.txt")
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

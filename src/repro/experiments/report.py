@@ -6,10 +6,13 @@ command for the reproduction itself::
 
     python -m repro.experiments.report [output-dir] [-Dsf=0.01]
 
-It runs E01-E21, writes ``REPORT.md`` (every experiment's formatted
-table/series plus wall-clock), and drops the E15 gnuplot artifacts under
-``graphs/``.  A smaller scale factor makes a quick smoke pass; the
-default matches the benchmark suite.
+It runs every experiment in :data:`repro.experiments.EXPERIMENTS`
+(E01-E28), writes ``REPORT.md`` (every experiment's formatted
+table/series plus wall-clock) and puts each experiment's files under
+``<output-dir>/<id>/``: E15's gnuplot suite, E22's traces and the JSON
+artifacts of E24-E27.  At the default scale factor the report prints
+the numbers EXPERIMENTS.md quotes; a smaller one makes a quick smoke
+pass.
 """
 
 from __future__ import annotations
@@ -19,9 +22,10 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from repro.errors import ConfigError
+from repro.experiments import EXPERIMENTS, REFERENCE_SF
 from repro.repeat.properties import Properties
 
 
@@ -35,60 +39,18 @@ class SectionResult:
     wall_seconds: float
 
 
-def _runners(sf: float, gnuplot_dir: Path
-             ) -> List[Tuple[str, str, Callable[[], object]]]:
-    """(id, title, thunk) for every experiment, scale-adjusted."""
-    from repro import experiments as exp
-
-    return [
-        ("E01", "server vs client time, file vs terminal",
-         lambda: exp.run_e01(sf=sf)),
-        ("E02", "hot vs cold runs", lambda: exp.run_e02(sf=sf)),
-        ("E03", "DBG/OPT ratio across 22 queries",
-         lambda: exp.run_e03(sf=sf / 2)),
-        ("E04", "the memory wall", lambda: exp.run_e04()),
-        ("E05", "Q1 profile: tuple vs column engine",
-         lambda: exp.run_e05(sf=sf)),
-        ("E06", "factor interaction tables", exp.run_e06),
-        ("E07", "design sizes", exp.run_e07),
-        ("E08", "orthogonal-array design", exp.run_e08),
-        ("E09", "the 2^2 worked example", exp.run_e09),
-        ("E10", "allocation of variation", exp.run_e10),
-        ("E11", "the 2^(7-4) sign table", exp.run_e11),
-        ("E12", "confounding D=ABC vs D=AB", exp.run_e12),
-        ("E13", "presentation-rule linting", exp.run_e13),
-        ("E14", "histogram cell sizes", exp.run_e14),
-        ("E15", "automatic gnuplot generation",
-         lambda: exp.run_e15(gnuplot_dir, sf_values=(sf / 5, sf / 2.5,
-                                                     sf / 1.25))),
-        ("E16", "locale corruption", exp.run_e16),
-        ("E17", "SIGMOD 2008 repeatability", exp.run_e17),
-        ("E18", "apples and oranges", lambda: exp.run_e18(sf=sf / 2)),
-        ("E19", "metric catalogue", lambda: exp.run_e19(sf=sf / 2)),
-        ("E20", "two-stage methodology",
-         lambda: exp.run_e20(sf=max(0.001, sf / 3))),
-        ("E21", "fault injection vs retry budget",
-         lambda: exp.run_e21(sf=max(0.001, sf / 3))),
-        ("E22", "same query, two very different traces",
-         lambda: exp.run_e22(sf=max(0.001, sf / 3))),
-        ("E23", "loop vs vectorized executor",
-         lambda: exp.run_e23(rows_low=500, rows_high=2_000)),
-    ]
-
-
-def regenerate(output_dir: "str | Path", sf: float = 0.01
+def regenerate(output_dir: "str | Path", sf: float = REFERENCE_SF
                ) -> List[SectionResult]:
     """Run all experiments; write REPORT.md; return the sections."""
     output_dir = Path(output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
-    graphs = output_dir / "graphs"
     sections: List[SectionResult] = []
-    for experiment_id, title, thunk in _runners(sf, graphs):
+    for experiment in EXPERIMENTS:
         started = time.perf_counter()
-        result = thunk()
+        result = experiment.run(sf, output_dir / experiment.id)
         wall = time.perf_counter() - started
         sections.append(SectionResult(
-            experiment=experiment_id, title=title,
+            experiment=experiment.id, title=experiment.title,
             body=result.format(), wall_seconds=wall))
     lines = [
         "# Measured reproduction report",
@@ -114,7 +76,7 @@ def regenerate(output_dir: "str | Path", sf: float = 0.01
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    properties = Properties({"sf": "0.01"})
+    properties = Properties({"sf": str(REFERENCE_SF)})
     try:
         rest = properties.apply_cli_overrides(argv)
         sf = properties.get_float("sf")
@@ -125,7 +87,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     if len(rest) > 1 or (rest and rest[0].startswith("-")):
         print("usage: python -m repro.experiments.report "
-              "[output-dir] [-Dsf=0.01]", file=sys.stderr)
+              f"[output-dir] [-Dsf={REFERENCE_SF}]", file=sys.stderr)
         return 2
     output_dir = Path(rest[0]) if rest else Path("reproduction_report")
     sections = regenerate(output_dir, sf=sf)

@@ -1,4 +1,4 @@
-"""E28 integration: the radix curve, its CIs, and jobs-invariance.
+"""E28 integration: the radix curve, its CIs, and EXPLAIN ANALYZE.
 
 Pins the cache-conscious-execution acceptance criteria end to end:
 
@@ -6,7 +6,6 @@ Pins the cache-conscious-execution acceptance criteria end to end:
   a bootstrap CI that excludes 1.0x on simulated time;
 - the in-cache curve never shows a (significant) radix win —
   partitioning a cache-resident build is pure overhead;
-- the sharded campaign is byte-identical for every ``jobs`` value;
 - EXPLAIN ANALYZE of the hinted radix plan renders partition counts
   and is byte-identical across seeded reruns.
 """
@@ -18,9 +17,7 @@ from repro.experiments.e28_cache import (
     E28_SQL,
     REGIME_SIZES,
     _join_database,
-    analyze_campaign,
     run_e28,
-    run_e28_campaign,
 )
 from repro.hardware.cache import CacheModel
 from tests.integration import sim_digest
@@ -29,13 +26,6 @@ from tests.integration import sim_digest
 @pytest.fixture(scope="module")
 def result():
     return run_e28(seed=7, wall_clock=False)
-
-
-@pytest.fixture(scope="module")
-def campaign_pair():
-    sequential = run_e28_campaign(seed=7, jobs=1)
-    parallel = run_e28_campaign(seed=7, jobs=2)
-    return sequential, parallel
 
 
 class TestRadixCurve:
@@ -87,25 +77,6 @@ class TestRadixCurve:
         assert sim_digest(numbers) == (
             "08a53797c8f282dca84b7a02d2802abb"
             "f6568c0eb707fff8df56f98db7b126e8")
-
-
-class TestCampaignJobsInvariance:
-    def test_result_csv_byte_identical(self, campaign_pair):
-        sequential, parallel = campaign_pair
-        assert parallel.results.to_csv() == sequential.results.to_csv()
-
-    def test_documentation_byte_identical(self, campaign_pair):
-        sequential, parallel = campaign_pair
-        assert parallel.documentation() == sequential.documentation()
-
-    def test_campaign_analysis_matches_sequential_shape(
-            self, campaign_pair):
-        sequential, __ = campaign_pair
-        analyzed = analyze_campaign(sequential)
-        best = analyzed.best("out_of_cache")
-        assert best.bits > 0
-        assert best.speedup.low > 1.0
-        assert analyzed.wall_speedup is None
 
 
 class TestExplainAnalyzeActuals:

@@ -11,7 +11,6 @@ the explicitly layout-dependent surfaces.
 import pytest
 
 from repro.experiments.e07_design_sizes import run_e07_campaign
-from repro.experiments.e21_fault_tolerance import run_e21
 from repro.obs.export import to_jsonl
 from repro.parallel import CampaignSpec, run_campaign
 
@@ -84,17 +83,6 @@ class TestSeedSensitivity:
 
 
 class TestExperimentsThroughTheExecutor:
-    def test_e21_is_jobs_invariant(self):
-        solo = run_e21(budgets=(1, 3), jobs=1)
-        sharded = run_e21(budgets=(1, 3), jobs=JOBS)
-        assert solo == sharded
-
-    def test_e21_parallel_path_still_shows_the_tradeoff(self):
-        result = run_e21(budgets=(1, 3), jobs=2)
-        assert result.outcome(3).survival_rate >= \
-            result.outcome(1).survival_rate
-        assert result.outcome(1).retries == 0
-
     def test_e07_fractional_campaign_is_jobs_invariant(self):
         solo = run_e07_campaign(kind="fractional", k=4, jobs=1)
         sharded = run_e07_campaign(kind="fractional", k=4, jobs=3)
