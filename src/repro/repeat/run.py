@@ -27,10 +27,9 @@ campaign under a :class:`~repro.obs.Tracer` and write the JSONL span
 log there.
 
 ``--jobs N`` exposes a worker count as the ``jobs`` property;
-experiments wired through the sharded executor (:mod:`repro.parallel`,
-e.g. E07's measured campaigns and E21) shard their design points across
-``N`` worker processes.  Results are byte-identical for every ``N`` —
-the flag changes wall-clock, never the numbers.
+experiments that fan out (e.g. E24's serving grid) spread their work
+over ``N`` worker processes.  Results are byte-identical for every
+``N`` — the flag changes wall-clock, never the numbers.
 
 ``--clients N`` and ``--arrival-rate R`` expose serving-traffic knobs
 as the ``clients`` / ``arrival_rate`` properties; experiments wired to
