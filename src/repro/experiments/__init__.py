@@ -13,12 +13,12 @@ See DESIGN.md for the experiment index and EXPERIMENTS.md for the
 paper-vs-measured record.
 """
 
+import inspect
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
 
 from repro.experiments import (
-    e23_vectorized,
     e24_serving,
     e25_optimizer,
     e26_observatory,
@@ -77,8 +77,19 @@ class Experiment:
 def _scaled(default, sf: float):
     """A size that is *default* at :data:`REFERENCE_SF`, in proportion
     to *sf* elsewhere; whole sizes stay whole and positive."""
+    if isinstance(default, tuple):
+        return tuple(_scaled(value, sf) for value in default)
     size = default * (sf / REFERENCE_SF)
     return max(1, round(size)) if isinstance(default, int) else size
+
+
+def _at(sf: float, run: Callable[..., Any], *sizes: str, **kwargs: Any):
+    """Call *run* with each parameter named in *sizes* at its default,
+    scaled to *sf*, plus *kwargs*."""
+    parameters = inspect.signature(run).parameters
+    scaled = {name: _scaled(parameters[name].default, sf)
+              for name in sizes}
+    return run(**scaled, **kwargs)
 
 
 def _exported(result, export: Callable[[Any, str], Any], outdir: Path):
@@ -89,22 +100,21 @@ def _exported(result, export: Callable[[Any, str], Any], outdir: Path):
 
 def _e24(sf: float, outdir: Path):
     # Every cell has its own seed, so any jobs value gives these bytes.
-    result = run_e24(
-        jobs=default_jobs(),
-        duration_s=_scaled(e24_serving.DEFAULT_DURATION_S, sf))
+    result = _at(sf, run_e24, "duration_s", jobs=default_jobs())
     e24_serving.check_charts(result)
     return _exported(result, e24_serving.export_artifacts, outdir)
 
 
-#: Every experiment, in id order.  Each entry scales the sizes of its
-#: experiment with ``sf``, except E28, whose cache regimes are fixed
-#: sizes relative to the simulated cache.
+#: Every experiment, in id order.  Each entry names the size parameters
+#: of its experiment, which scale with ``sf``.  E01, E02 and E05 take the
+#: report's sf as is; E28 has no size parameter, since its cache regimes
+#: are fixed sizes relative to the simulated cache.
 EXPERIMENTS = (
     Experiment("E01", "server vs client time, file vs terminal",
                lambda sf, out: run_e01(sf=sf)),
     Experiment("E02", "hot vs cold runs", lambda sf, out: run_e02(sf=sf)),
     Experiment("E03", "DBG/OPT ratio across 22 queries",
-               lambda sf, out: run_e03(sf=_scaled(0.005, sf))),
+               lambda sf, out: _at(sf, run_e03, "sf")),
     Experiment("E04", "the memory wall", lambda sf, out: run_e04()),
     Experiment("E05", "Q1 profile: tuple vs column engine",
                lambda sf, out: run_e05(sf=sf)),
@@ -123,42 +133,37 @@ EXPERIMENTS = (
                lambda sf, out: run_e13()),
     Experiment("E14", "histogram cell sizes", lambda sf, out: run_e14()),
     Experiment("E15", "automatic gnuplot generation",
-               lambda sf, out: run_e15(out, sf_values=tuple(
-                   _scaled(v, sf) for v in (0.002, 0.004, 0.008)))),
+               lambda sf, out: _at(sf, run_e15, "sf_values", root=out)),
     Experiment("E16", "locale corruption", lambda sf, out: run_e16()),
     Experiment("E17", "SIGMOD 2008 repeatability",
                lambda sf, out: run_e17()),
     Experiment("E18", "apples and oranges",
-               lambda sf, out: run_e18(sf=_scaled(0.005, sf))),
+               lambda sf, out: _at(sf, run_e18, "sf")),
     Experiment("E19", "metric catalogue",
-               lambda sf, out: run_e19(sf=_scaled(0.005, sf))),
+               lambda sf, out: _at(sf, run_e19, "sf")),
     Experiment("E20", "two-stage methodology",
-               lambda sf, out: run_e20(sf=_scaled(0.003, sf))),
+               lambda sf, out: _at(sf, run_e20, "sf")),
     Experiment("E21", "fault injection vs retry budget",
-               lambda sf, out: run_e21(sf=_scaled(0.002, sf))),
+               lambda sf, out: _at(sf, run_e21, "sf")),
     Experiment("E22", "same query, two very different traces",
-               lambda sf, out: run_e22(sf=_scaled(0.002, sf),
-                                       trace_dir=str(out))),
+               lambda sf, out: _at(sf, run_e22, "sf",
+                                   trace_dir=str(out))),
     Experiment("E23", "loop vs vectorized executor",
-               lambda sf, out: run_e23(
-                   rows_low=_scaled(e23_vectorized.DEFAULT_ROWS[0], sf),
-                   rows_high=_scaled(e23_vectorized.DEFAULT_ROWS[1],
-                                     sf))),
+               lambda sf, out: _at(sf, run_e23, "rows_low", "rows_high")),
     Experiment("E24", "serving under load and overload", _e24),
     Experiment("E25", "cost-based optimizer: speedup, plan quality, "
                "q-errors",
-               lambda sf, out: _exported(run_e25(
-                   rows_low=_scaled(e25_optimizer.DEFAULT_ROWS[0], sf),
-                   rows_high=_scaled(e25_optimizer.DEFAULT_ROWS[1], sf)),
+               lambda sf, out: _exported(
+                   _at(sf, run_e25, "rows_low", "rows_high"),
                    e25_optimizer.export_artifacts, out)),
     Experiment("E26", "performance observatory: feedback and the "
                "noise-aware gate",
-               lambda sf, out: _exported(run_e26(
-                   n_fact=_scaled(e26_observatory.DEFAULT_N_FACT, sf)),
+               lambda sf, out: _exported(
+                   _at(sf, run_e26, "n_fact"),
                    e26_observatory.export_artifacts, out)),
     Experiment("E27", "cross-system comparison, fair and unfair",
-               lambda sf, out: _exported(run_e27(
-                   n_fact=_scaled(e27_cross_system.DEFAULT_N_FACT, sf)),
+               lambda sf, out: _exported(
+                   _at(sf, run_e27, "n_fact"),
                    e27_cross_system.export_artifacts, out)),
     Experiment("E28", "cache-conscious joins: the radix-bits curve",
                lambda sf, out: run_e28()),

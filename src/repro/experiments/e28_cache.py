@@ -29,13 +29,12 @@ shape, and what the assertions pin:
 - *in cache* partitioning is pure overhead: the curve never
   meaningfully exceeds 1.0x (advisory, not load-bearing).
 
-:func:`run_e28` additionally measures *wall-clock*
-speedups of the same plans.  On this Python/NumPy engine the radix
-partitioning work is real but the cache benefit is not (the simulated
-hierarchy exists only in the cost model), so the wall-clock CI is
-reported honestly — typically at or below 1.0x — as a worked example of
-the tutorial's "simulated speedups are claims about the model, not the
-machine".
+:func:`run_e28` additionally measures *wall-clock* speedups of the
+same plans. On this Python/NumPy engine the radix partitioning work is
+real but the cache benefit is not (the simulated hierarchy exists only
+in the cost model), so the wall-clock CI is reported honestly —
+typically at or below 1.0x — as a worked example of the tutorial's
+"simulated speedups are claims about the model, not the machine".
 """
 
 from __future__ import annotations
