@@ -22,9 +22,8 @@ failing experiment produces a per-experiment pass/fail summary, never a
 raw traceback.
 
 ``--trace <path>`` exposes a trace output path as the ``trace``
-property; experiments that support tracing (e.g. E22) run their
-campaign under a :class:`~repro.obs.Tracer` and write the JSONL span
-log there.
+property; an experiment that supports tracing runs its campaign under
+a :class:`~repro.obs.Tracer` and writes the JSONL span log there.
 
 ``--jobs N`` exposes a worker count as the ``jobs`` property;
 experiments that fan out (e.g. E24's serving grid) spread their work
