@@ -13,12 +13,16 @@ import time
 from repro.core import TwoLevelFactorialDesign
 from repro.experiments import run_e22
 from repro.experiments.e21_fault_tolerance import (
-    CAMPAIGN_PROTOCOL,
     FaultyQueryWorkload,
     make_space,
 )
 from repro.faults import FaultPlan
-from repro.measurement import RetryPolicy, VirtualClock, run_harness
+from repro.measurement import (
+    LAST_OF_THREE_HOT,
+    RetryPolicy,
+    VirtualClock,
+    run_harness,
+)
 from repro.obs import Tracer
 from repro.workloads import generate_tpch, tpch_query
 
@@ -39,7 +43,7 @@ def _campaign(database, traced: bool) -> float:
     tracer = Tracer(clock=clock) if traced else None
     started = time.perf_counter()
     run_harness(TwoLevelFactorialDesign(make_space()), workload,
-                CAMPAIGN_PROTOCOL, clock=clock,
+                LAST_OF_THREE_HOT, clock=clock,
                 retry=RetryPolicy(max_attempts=3), on_error="record",
                 name="overhead", tracer=tracer)
     return time.perf_counter() - started

@@ -36,10 +36,8 @@ from repro.core import (
 from repro.db import Client, Engine, EngineConfig, FileSink
 from repro.errors import DesignError
 from repro.measurement import (
+    LAST_OF_THREE_HOT,
     NoiseModel,
-    PickRule,
-    RunProtocol,
-    State,
     VirtualClock,
     Workload,
 )
@@ -104,11 +102,6 @@ def run_e07(level_counts: Sequence[int] = (10, 20, 25, 30, 40),
 
 #: Design kinds :func:`build_e07_campaign` knows how to enumerate.
 DESIGN_KINDS = ("twolevel", "simple", "full", "fractional")
-
-#: The measured campaigns' protocol: hot runs, 3 measured repetitions.
-E07_PROTOCOL = RunProtocol(state=State.HOT, repetitions=3,
-                           pick=PickRule.LAST, warmups=1)
-
 
 class SyntheticDesignWorkload(Workload):
     """A virtual-clock workload whose cost is a function of the config.
@@ -188,7 +181,7 @@ def build_e07_campaign(params: Mapping[str, Any],
         clock, noise, base_ms=float(params.get("base_ms", 8.0)),
         step_ms=float(params.get("step_ms", 2.0)))
     return CampaignStack(design=_e07_design(kind, k), workload=workload,
-                         protocol=E07_PROTOCOL, clock=clock)
+                         protocol=LAST_OF_THREE_HOT, clock=clock)
 
 
 def run_e07_campaign(kind: str = "twolevel", k: int = 4, seed: int = 7,
@@ -273,5 +266,5 @@ def build_e07_replicated_campaign(params: Mapping[str, Any],
     workload = ReplicatedQueryWorkload(
         sf, data_seed, tpch_query(int(params.get("query", 1))), clock)
     return CampaignStack(design=FullFactorialDesign(space),
-                         workload=workload, protocol=E07_PROTOCOL,
+                         workload=workload, protocol=LAST_OF_THREE_HOT,
                          clock=clock)

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 from repro.core import ComparisonContext, FairnessReport, check_fairness
 from repro.db import Engine, EngineConfig, MiniDBLoopSystem
 from repro.hardware import BuildMode, BuildModel
+from repro.measurement import PickRule, RunProtocol, State
 from repro.measurement.comparison import (
-    ComparisonProtocol,
     ComparisonReport,
     FairComparisonHarness,
     QuerySpec,
@@ -84,10 +84,11 @@ def _pitfall_replay(db, sql: str) -> ComparisonReport:
                              label="off-the-shelf-Y")
     harness = FairComparisonHarness(
         (prototype, shelf),
-        protocol=ComparisonProtocol(stage="warm", warmup=2,
-                                    repetitions=3),
-        protocols={"off-the-shelf-Y": ComparisonProtocol(
-            stage="cold", warmup=0, repetitions=3)})
+        protocol=RunProtocol(state=State.HOT, repetitions=3,
+                             pick=PickRule.MEDIAN, warmups=2),
+        protocols={"off-the-shelf-Y": RunProtocol(
+            state=State.COLD, repetitions=3, pick=PickRule.MEDIAN,
+            warmups=0)})
     spec = WorkloadSpec(name="e18-war-story-2",
                         queries=(QuerySpec("q3", sql),))
     return harness.run(db, spec)

@@ -32,11 +32,10 @@ from repro.db import Client, Engine, EngineConfig, FileSink
 from repro.errors import DesignError
 from repro.faults import FaultInjector, FaultPlan
 from repro.measurement import (
+    LAST_OF_THREE_HOT,
     ConfidenceInterval,
     PickRule,
     RetryPolicy,
-    RunProtocol,
-    State,
     VirtualClock,
     Workload,
     bootstrap_speedup_ci,
@@ -85,12 +84,6 @@ class FaultyQueryWorkload(Workload):
 
     def make_cold(self) -> None:
         self._client.engine.make_cold()
-
-
-#: The campaign's measurement procedure: hot runs, 3 measured
-#: repetitions (the replications the error analysis needs).
-CAMPAIGN_PROTOCOL = RunProtocol(state=State.HOT, repetitions=3,
-                                pick=PickRule.LAST, warmups=1)
 
 
 @dataclass(frozen=True)
@@ -176,7 +169,7 @@ def _campaign(database, sql: str, plan: FaultPlan,
                         backoff_factor=2.0)
     report = run_harness(
         TwoLevelFactorialDesign(make_space()), workload,
-        CAMPAIGN_PROTOCOL, clock=clock, retry=retry, on_error="record",
+        LAST_OF_THREE_HOT, clock=clock, retry=retry, on_error="record",
         name="e21")
     return report, injector
 
@@ -184,7 +177,7 @@ def _campaign(database, sql: str, plan: FaultPlan,
 def _analysis_diagnostic(report: HarnessReport) -> str:
     """Refusal message when failed points reach the error analysis."""
     design = TwoLevelFactorialDesign(make_space())
-    r = CAMPAIGN_PROTOCOL.repetitions
+    r = LAST_OF_THREE_HOT.repetitions
     by_index = {point.index: point for point in design.points()}
     replicated = []
     for index in sorted(by_index):
@@ -218,9 +211,9 @@ def _tuned_speedup(report: HarnessReport
     if not pools["yes"] or not pools["no"]:
         return None, 0.0
     ci = bootstrap_speedup_ci(pools["no"], pools["yes"],
-                              protocol="median", seed=0)
+                              protocol=PickRule.MEDIAN, seed=0)
     return ci, speedup_estimate(pools["no"], pools["yes"],
-                                protocol="min")
+                                protocol=PickRule.MIN)
 
 
 def run_e21(sf: float = 0.002, seed: int = 42, query: int = 1,

@@ -37,13 +37,14 @@ from typing import Optional, Tuple
 from repro.core import TwoLevelFactorialDesign
 from repro.db import Client, Engine, EngineConfig, FileSink
 from repro.experiments.e21_fault_tolerance import (
-    CAMPAIGN_PROTOCOL,
     FaultyQueryWorkload,
     make_space,
 )
 from repro.faults import FaultPlan
 from repro.measurement import (
+    LAST_OF_THREE_HOT,
     ConfidenceInterval,
+    PickRule,
     RetryPolicy,
     VirtualClock,
     bootstrap_speedup_ci,
@@ -206,7 +207,7 @@ def _traced_campaign(database, sql: str, seed: int,
     tracer = Tracer(clock=clock, registry=registry)
     report = run_harness(
         TwoLevelFactorialDesign(make_space()), workload,
-        CAMPAIGN_PROTOCOL, clock=clock,
+        LAST_OF_THREE_HOT, clock=clock,
         retry=RetryPolicy(max_attempts=3), on_error="record",
         name="e22", tracer=tracer)
     return report.trace, report.documentation(), registry
@@ -248,9 +249,10 @@ def run_e22(sf: float = 0.002, seed: int = 42, query: int = 1,
             tuned_ms.append(t.total_ms)
             untuned_ms.append(u.total_ms)
         slowdown_ci = bootstrap_speedup_ci(untuned_ms, tuned_ms,
-                                           protocol="median", seed=0)
+                                           protocol=PickRule.MEDIAN,
+                                           seed=0)
         slowdown_min = speedup_estimate(untuned_ms, tuned_ms,
-                                        protocol="min")
+                                        protocol=PickRule.MIN)
 
     trace, documentation, registry = _traced_campaign(
         database, sql, seed, fault_probability)

@@ -36,11 +36,10 @@ from repro.core.replication import ReplicatedAnalysis, analyze_replicated
 from repro.core.variation import VariationReport, allocate_variation_replicated
 from repro.db import Engine, EngineConfig
 from repro.measurement import (
+    LAST_OF_THREE_HOT,
     ConfidenceInterval,
     NoiseModel,
     PickRule,
-    RunProtocol,
-    State,
     VirtualClock,
     Workload,
     bootstrap_speedup_ci,
@@ -54,12 +53,6 @@ from repro.workloads.microbench import (
     join_microbenchmark,
     select_microbenchmark,
 )
-
-#: Measurement protocol: hot system, 3 measured repetitions per point.
-#: The warmup run also fills the buffer pool and (when enabled) the
-#: plan cache, so measured runs see steady-state behaviour.
-E23_PROTOCOL = RunProtocol(state=State.HOT, repetitions=3,
-                           pick=PickRule.LAST, warmups=1)
 
 #: Default low/high input sizes of the ``rows`` factor.
 DEFAULT_ROWS = (2_000, 16_000)
@@ -218,9 +211,10 @@ def _speedups(report: HarnessReport,
         cis.append((label,
                     bootstrap_speedup_ci(pair["loop"],
                                          pair["vectorized"],
-                                         protocol="median", seed=0),
+                                         protocol=PickRule.MEDIAN,
+                                         seed=0),
                     speedup_estimate(pair["loop"], pair["vectorized"],
-                                     protocol="min")))
+                                     protocol=PickRule.MIN)))
     return ratios, rows, cis
 
 
@@ -236,8 +230,10 @@ def run_e23(seed: int = 7, rows_low: int = DEFAULT_ROWS[0],
     clock = VirtualClock()
     workload = VectorizedWorkload(
         clock, NoiseModel(seed=seed, relative_std=noise))
-    report = run_harness(design, workload, E23_PROTOCOL, clock=clock,
-                         name="e23").require_complete()
+    # The warm-up also fills the buffer pool and (when enabled) the
+    # plan cache, so measured runs see steady-state behaviour.
+    report = run_harness(design, workload, LAST_OF_THREE_HOT,
+                         clock=clock, name="e23").require_complete()
     replicated_ms = [[r * 1000.0 for r in report.raw[point.index].reals]
                      for point in design.points()]
     analysis = analyze_replicated(design, replicated_ms,

@@ -51,23 +51,15 @@ from repro.db import (
     parse_select,
 )
 from repro.measurement import (
+    LAST_OF_THREE_HOT,
     ConfidenceInterval,
     NoiseModel,
-    PickRule,
-    RunProtocol,
-    State,
     VirtualClock,
     Workload,
     median_confidence_interval,
     run_harness,
 )
 from repro.measurement.harness import HarnessReport
-
-#: Measurement protocol: hot system, 3 measured repetitions per point.
-#: The warmup fills the buffer pool and the plan cache, so measured
-#: runs compare executed *plan quality*, not optimization overhead.
-E25_PROTOCOL = RunProtocol(state=State.HOT, repetitions=3,
-                           pick=PickRule.LAST, warmups=1)
 
 #: Default low/high fact-table sizes of the ``rows`` factor.
 DEFAULT_ROWS = (2_000, 8_000)
@@ -536,8 +528,10 @@ def run_e25(seed: int = 7, rows_low: int = DEFAULT_ROWS[0],
     clock = VirtualClock()
     workload = OptimizerWorkload(
         clock, NoiseModel(seed=seed, relative_std=noise))
-    report = run_harness(design, workload, E25_PROTOCOL, clock=clock,
-                         name="e25").require_complete()
+    # The warm-up fills the buffer pool and the plan cache, so measured
+    # runs compare executed *plan quality*, not optimization overhead.
+    report = run_harness(design, workload, LAST_OF_THREE_HOT,
+                         clock=clock, name="e25").require_complete()
     replicated_ms = [[r * 1000.0 for r in report.raw[point.index].reals]
                      for point in design.points()]
     analysis = analyze_replicated(design, replicated_ms,

@@ -16,10 +16,11 @@ mechanism — so plan shapes are comparable, not just end-to-end times.
 
 Two runs are reported:
 
-1. **fair** — identical :class:`ComparisonProtocol` everywhere; the
-   automated pitfall checklist must pass all seven checks;
+1. **fair** — one hot :class:`~repro.measurement.protocol.RunProtocol`
+   everywhere; the automated pitfall checklist must pass all seven
+   checks;
 2. **unfair** — deliberately mismatched warm-up (SQLite measured cold
-   with zero warm-up while MiniDB runs warm) on the *same* spec; the
+   with zero warm-up while MiniDB runs hot) on the *same* spec; the
    checklist must catch the stage and warm-up mismatches.
 
 The point is that the unfair run produces plausible-looking numbers —
@@ -35,8 +36,8 @@ from typing import List, Tuple
 
 from repro.db import Database, default_systems
 from repro.experiments.e25_optimizer import star_database, star_queries
+from repro.measurement import PickRule, RunProtocol, State
 from repro.measurement.comparison import (
-    ComparisonProtocol,
     ComparisonReport,
     FairComparisonHarness,
     QuerySpec,
@@ -103,34 +104,23 @@ class E27Result:
         return "\n".join(lines)
 
 
-def _fair_harness(warmup: int, repetitions: int) -> FairComparisonHarness:
-    return FairComparisonHarness(
-        default_systems(),
-        protocol=ComparisonProtocol(stage="warm", warmup=warmup,
-                                    repetitions=repetitions))
-
-
-def _unfair_harness(warmup: int, repetitions: int) -> FairComparisonHarness:
-    """Same systems and spec, but SQLite gets a different protocol.
-
-    This is the classic published mistake: the authors' engine is
-    measured hot while the contender pays cold-cache cost every run.
-    """
-    return FairComparisonHarness(
-        default_systems(),
-        protocol=ComparisonProtocol(stage="warm", warmup=warmup,
-                                    repetitions=repetitions),
-        protocols={"sqlite": ComparisonProtocol(
-            stage="cold", warmup=0, repetitions=repetitions)})
-
-
 def run_e27(seed: int = DEFAULT_SEED, n_fact: int = DEFAULT_N_FACT,
             warmup: int = 1, repetitions: int = 3,
             n_queries: int = N_QUERIES) -> E27Result:
     db: Database = star_database(seed=seed, n_fact=n_fact)
     spec = star_workload(n_queries=n_queries)
-    fair = _fair_harness(warmup, repetitions).run(db, spec)
-    unfair = _unfair_harness(warmup, repetitions).run(db, spec)
+    hot = RunProtocol(state=State.HOT, repetitions=repetitions,
+                      pick=PickRule.MEDIAN, warmups=warmup)
+    cold = RunProtocol(state=State.COLD, repetitions=repetitions,
+                       pick=PickRule.MEDIAN, warmups=0)
+    fair = FairComparisonHarness(default_systems(), protocol=hot).run(
+        db, spec)
+    # The unfair run is the classic published mistake: the authors'
+    # engine is measured hot while the contender pays cold-cache cost
+    # every run.
+    unfair = FairComparisonHarness(
+        default_systems(), protocol=hot,
+        protocols={"sqlite": cold}).run(db, spec)
     return E27Result(seed=seed, n_fact=n_fact, fair=fair, unfair=unfair)
 
 

@@ -242,14 +242,14 @@ def _analyze(report: HarnessReport) -> E28Result:
         for bits in BITS_LEVELS:
             sample = reals[(regime, bits)]
             ci = bootstrap_speedup_ci(baseline, sample,
-                                      protocol="median", seed=0)
+                                      protocol=PickRule.MEDIAN, seed=0)
             ordered = sorted(sample)
             curve.append(CurvePoint(
                 regime=regime, bits=bits,
                 median_ms=ordered[len(ordered) // 2] * 1000.0,
                 speedup=ci,
                 speedup_min=speedup_estimate(baseline, sample,
-                                             protocol="min")))
+                                             protocol=PickRule.MIN)))
             if bits and (best_speedup is None
                          or ci.mean > best_speedup):
                 best_bits, best_speedup = bits, ci.mean
@@ -284,7 +284,7 @@ def _wall_speedup(data_seed: int, bits: int,
         return samples
 
     return bootstrap_speedup_ci(times(0), times(bits),
-                                protocol="median", seed=0)
+                                protocol=PickRule.MEDIAN, seed=0)
 
 
 def run_e28(seed: int = 7, data_seed: int = 7,

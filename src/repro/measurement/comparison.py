@@ -7,10 +7,11 @@ the same failures in the published record — undisclosed tuning,
 mismatched warm-up, single-metric reporting, unverified result sets.
 Reviewer vigilance does not scale, so this module makes the checklist
 *executable*: :class:`FairComparisonHarness` runs one workload spec
-across N :class:`~repro.db.systems.DatabaseSystem` backends under
-per-system run protocols, collects per-system timing samples through
-the :mod:`repro.measurement.speedup` bootstrap machinery, and emits a
-pass/warn verdict per pitfall into the report.
+across N :class:`~repro.db.systems.DatabaseSystem` backends, measures
+every cell under that system's
+:class:`~repro.measurement.protocol.RunProtocol`, collects per-system
+timing samples through the :mod:`repro.measurement.speedup` bootstrap
+machinery, and emits a pass/warn verdict per pitfall into the report.
 
 A *fair* configuration (identical protocols, verified results, forced
 plan shapes) passes every check; the moment one system gets extra
@@ -33,7 +34,8 @@ from typing import (
 )
 
 from repro.errors import DatabaseError, MeasurementError
-from repro.measurement.speedup import bootstrap_speedup_ci
+from repro.measurement.protocol import PickRule, RunProtocol, State
+from repro.measurement.speedup import bootstrap_speedup_ci, protocol_estimate
 from repro.measurement.stats import ConfidenceInterval
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -43,40 +45,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.db.storage import Database
     from repro.db.systems import DatabaseSystem, SystemPlan, SystemResult
 
-#: Valid warm-up stages a protocol can request.
-STAGES: Tuple[str, ...] = ("warm", "cold")
-
 #: Metrics the harness reports per system by default.  Reporting more
 #: than one is itself a checklist item: a single number hides the
 #: throughput-vs-latency (or CPU-vs-elapsed) trade-off.
 DEFAULT_METRICS: Tuple[str, ...] = ("wall_s", "simulated_s", "rows")
-
-
-@dataclass(frozen=True)
-class ComparisonProtocol:
-    """The measurement protocol one system runs under.
-
-    ``stage="warm"`` runs *warmup* unmeasured repetitions first;
-    ``stage="cold"`` flushes caches (where the backend supports it)
-    before every measured repetition instead.
-    """
-
-    stage: str = "warm"
-    warmup: int = 2
-    repetitions: int = 5
-
-    def __post_init__(self):
-        if self.stage not in STAGES:
-            raise MeasurementError(
-                f"unknown stage {self.stage!r}; expected one of {STAGES}")
-        if self.warmup < 0:
-            raise MeasurementError("warmup must be >= 0")
-        if self.repetitions < 1:
-            raise MeasurementError("repetitions must be >= 1")
-
-    def describe(self) -> str:
-        return (f"{self.stage} stage, {self.warmup} warm-up + "
-                f"{self.repetitions} measured run(s)")
 
 
 @dataclass(frozen=True)
@@ -119,11 +91,6 @@ class VariantMeasurement:
     plan: Optional[SystemPlan]
     forcing_error: Optional[str] = None
 
-    @property
-    def median_wall_s(self) -> float:
-        ordered = sorted(self.wall_samples)
-        return ordered[len(ordered) // 2]
-
 
 @dataclass(frozen=True)
 class PitfallCheck:
@@ -150,7 +117,7 @@ class SystemSummary:
 
     system: str
     config: Mapping[str, str]
-    protocol: ComparisonProtocol
+    protocol: RunProtocol
     fingerprint: Mapping[str, int]
     median_wall_s: float
     simulated_s: Optional[float]
@@ -229,9 +196,10 @@ class ComparisonReport:
                 {
                     "system": s.system,
                     "config": dict(s.config),
-                    "protocol": {"stage": s.protocol.stage,
-                                 "warmup": s.protocol.warmup,
-                                 "repetitions": s.protocol.repetitions},
+                    "protocol": {"state": s.protocol.state.value,
+                                 "warmups": s.protocol.warmups,
+                                 "repetitions": s.protocol.repetitions,
+                                 "pick": s.protocol.pick.value},
                     "fingerprint": dict(s.fingerprint),
                     "median_wall_s": s.median_wall_s,
                     "simulated_s": s.simulated_s,
@@ -258,7 +226,7 @@ class ComparisonReport:
 PITFALLS: Tuple[Tuple[str, str], ...] = (
     ("tuning-disclosed", "every system discloses its tuning knobs"),
     ("identical-data", "all systems loaded identical data"),
-    ("stage-match", "warm/cold stage identical across systems"),
+    ("stage-match", "hot/cold stage identical across systems"),
     ("warmup-match", "warm-up and repetition counts identical"),
     ("result-equivalence", "result sets verified row-for-row"),
     ("multiple-metrics", "more than one metric reported"),
@@ -274,7 +242,10 @@ class FairComparisonHarness:
     systems:
         The contenders; the first is the speedup baseline.
     protocol:
-        The protocol every system runs under, unless overridden.
+        The :class:`~repro.measurement.protocol.RunProtocol` every
+        system runs under, unless overridden.  Whatever its pick rule,
+        the report pools every measured run of a system and prints the
+        median of that pool.
     protocols:
         Optional per-system override ``{system_name: protocol}`` — the
         *unfair-by-construction* escape hatch.  Using it with
@@ -288,9 +259,9 @@ class FairComparisonHarness:
     """
 
     def __init__(self, systems: Sequence[DatabaseSystem],
-                 protocol: Optional[ComparisonProtocol] = None,
-                 protocols: Optional[
-                     Mapping[str, ComparisonProtocol]] = None,
+                 protocol: RunProtocol = RunProtocol(
+                     repetitions=5, pick=PickRule.MEDIAN, warmups=2),
+                 protocols: Optional[Mapping[str, RunProtocol]] = None,
                  metrics: Sequence[str] = DEFAULT_METRICS,
                  bootstrap_seed: int = 0):
         if len(systems) < 2:
@@ -302,8 +273,7 @@ class FairComparisonHarness:
             raise MeasurementError(
                 f"duplicate system names in {names}")
         self.systems = tuple(systems)
-        self.protocol = protocol if protocol is not None \
-            else ComparisonProtocol()
+        self.protocol = protocol
         self.protocols = dict(protocols) if protocols else {}
         unknown = set(self.protocols) - set(names)
         if unknown:
@@ -314,7 +284,7 @@ class FairComparisonHarness:
         self.metrics = tuple(metrics)
         self.bootstrap_seed = bootstrap_seed
 
-    def protocol_for(self, system_name: str) -> ComparisonProtocol:
+    def protocol_for(self, system_name: str) -> RunProtocol:
         return self.protocols.get(system_name, self.protocol)
 
     # -- execution -------------------------------------------------------
@@ -339,21 +309,23 @@ class FairComparisonHarness:
             except DatabaseError as exc:
                 forcing_error = f"explain failed: {exc}"
         protocol = self.protocol_for(system.name)
-        for __ in range(protocol.warmup):
-            system.execute(sql)
-        samples: List[float] = []
+        make_cold = None
+        if protocol.state is State.COLD:
+            # A system that cannot flush runs its "cold" runs warm; the
+            # stage-match check names it.
+            make_cold = getattr(system, "make_cold", None) or (lambda: None)
         result: Optional[SystemResult] = None
-        for __ in range(protocol.repetitions):
-            if protocol.stage == "cold":
-                make_cold = getattr(system, "make_cold", None)
-                if make_cold is not None:
-                    make_cold()
+
+        def run() -> None:
+            nonlocal result
             result = system.execute(sql)
-            samples.append(result.wall_s)
+
+        outcome = protocol.execute(run, make_cold=make_cold,
+                                   label=f"{system.name}:{query.name}")
         assert result is not None
         return VariantMeasurement(
             system=system.name, query=query.name, order=order,
-            wall_samples=tuple(samples),
+            wall_samples=tuple(outcome.reals),
             simulated_s=result.simulated_s, result=result, plan=plan,
             forcing_error=forcing_error)
 
@@ -403,16 +375,17 @@ class FairComparisonHarness:
         summaries = []
         for system in self.systems:
             name = system.name
-            samples = sorted(pooled[name])
             ci = None
             if name != baseline:
                 ci = bootstrap_speedup_ci(pooled[baseline], pooled[name],
+                                          protocol=PickRule.MEDIAN,
                                           seed=self.bootstrap_seed)
             summaries.append(SystemSummary(
                 system=name, config=configs[name],
                 protocol=self.protocol_for(name),
                 fingerprint=system.data_fingerprint(),
-                median_wall_s=samples[len(samples) // 2],
+                median_wall_s=protocol_estimate(pooled[name],
+                                                PickRule.MEDIAN),
                 simulated_s=simulated.get(name),
                 rows_returned=rows[name],
                 speedup_vs_baseline=ci))
@@ -435,7 +408,7 @@ def _by_variant(measurements: Sequence[VariantMeasurement]
 
 def taipalus_checklist(systems: Sequence[DatabaseSystem],
                        configs: Mapping[str, Mapping[str, str]],
-                       protocols: Mapping[str, ComparisonProtocol],
+                       protocols: Mapping[str, RunProtocol],
                        measurements: Sequence[VariantMeasurement],
                        metrics: Sequence[str]
                        ) -> Tuple[PitfallCheck, ...]:
@@ -470,11 +443,11 @@ def taipalus_checklist(systems: Sequence[DatabaseSystem],
         f"{sum(reference.values())} rows across "
         f"{len(reference)} table(s) on every system")
 
-    stages = {p.stage for p in protocols.values()}
+    stages = {p.state.value for p in protocols.values()}
     # A cold protocol on a system that cannot flush its caches runs
-    # warm in fact (the harness skips the missing make_cold).
+    # warm in fact (the harness stands in a no-op make_cold).
     unflushable = sorted(s.name for s in systems
-                         if protocols[s.name].stage == "cold"
+                         if protocols[s.name].state is State.COLD
                          and getattr(s, "make_cold", None) is None)
     stage_problems = []
     if len(stages) > 1:
@@ -486,10 +459,10 @@ def taipalus_checklist(systems: Sequence[DatabaseSystem],
         "; ".join(stage_problems) or
         f"all systems measured {next(iter(stages))}")
 
-    shapes = {(p.warmup, p.repetitions) for p in protocols.values()}
+    shapes = {(p.warmups, p.repetitions) for p in protocols.values()}
     add("warmup-match", len(shapes) == 1,
         ("per-system warm-up/repetitions differ: "
-         + ", ".join(f"{name}={p.warmup}+{p.repetitions}"
+         + ", ".join(f"{name}={p.warmups}+{p.repetitions}"
                      for name, p in sorted(protocols.items())))
         if len(shapes) > 1 else
         "identical warm-up and repetition counts")

@@ -7,9 +7,9 @@ happens to land on a lucky sample.  This module implements the
 *Speedup-Test* style of analysis over full sample arrays:
 
 - :func:`protocol_estimate` — the two defensible single-number
-  summaries of a timing sample: ``min`` (best observable, right when
-  noise is strictly additive) and ``median`` (robust central tendency,
-  right when noise is bidirectional);
+  summaries of a timing sample: :attr:`PickRule.MIN` (best observable,
+  right when noise is strictly additive) and :attr:`PickRule.MEDIAN`
+  (robust central tendency, right when noise is bidirectional);
 - :func:`bootstrap_speedup_ci` — a percentile-bootstrap confidence
   interval for the speedup ratio, seeded so reruns are reproducible;
 - :func:`significant_regression` — the gate verdict: a regression must
@@ -25,16 +25,14 @@ pytest-benchmark gate (``scripts/bench_gate.py --stat``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Sequence, Union
 
 import numpy as np
 from scipy import stats as _scipy_stats
 
 from repro.errors import MeasurementError
+from repro.measurement.protocol import PickRule
 from repro.measurement.stats import ConfidenceInterval
-
-#: Supported single-number protocols for summarising a timing sample.
-PROTOCOLS: Tuple[str, ...] = ("min", "median")
 
 #: Bootstrap resamples; enough for stable 95% percentile endpoints.
 DEFAULT_BOOTSTRAP = 2000
@@ -51,35 +49,53 @@ def _as_sample(values: Sequence[float], who: str) -> np.ndarray:
     return arr
 
 
+def _estimator(protocol: Union[PickRule, str]) -> PickRule:
+    """*protocol* as :attr:`PickRule.MIN` or :attr:`PickRule.MEDIAN`.
+
+    A rule's value string (``"min"``, ``"median"``) names the same
+    rule.  Called once per public call, never per bootstrap resample.
+    """
+    try:
+        pick = PickRule(protocol)
+    except ValueError:
+        pick = None
+    if pick not in (PickRule.MIN, PickRule.MEDIAN):
+        raise MeasurementError(
+            f"unknown protocol {protocol!r}; expected PickRule.MIN or "
+            "PickRule.MEDIAN")
+    return pick
+
+
+def _estimate(values: Sequence[float], pick: PickRule) -> float:
+    arr = _as_sample(values, "protocol_estimate")
+    if pick is PickRule.MIN:
+        return float(arr.min())
+    return float(np.sort(arr)[arr.size // 2]
+                 if arr.size % 2 else np.median(arr))
+
+
 def protocol_estimate(values: Sequence[float],
-                      protocol: str = "median") -> float:
+                      protocol: PickRule = PickRule.MEDIAN) -> float:
     """Single-number summary of a timing sample under a protocol.
 
-    ``min`` is the min-of-k estimator (noise can only add time);
-    ``median`` is the order-statistic median (robust to outliers in
-    both directions).  Means are deliberately not offered — one swapped
-    page ruins them.
+    :attr:`PickRule.MIN` is the min-of-k estimator (noise can only add
+    time); :attr:`PickRule.MEDIAN` is the order-statistic median
+    (robust to outliers in both directions).  Means are deliberately
+    not offered — one swapped page ruins them.
     """
-    arr = _as_sample(values, "protocol_estimate")
-    if protocol == "min":
-        return float(arr.min())
-    if protocol == "median":
-        return float(np.sort(arr)[arr.size // 2]
-                     if arr.size % 2 else np.median(arr))
-    raise MeasurementError(
-        f"unknown protocol {protocol!r}; expected one of {PROTOCOLS}")
+    return _estimate(values, _estimator(protocol))
 
 
 def speedup(baseline: Sequence[float], candidate: Sequence[float],
-            protocol: str = "median") -> float:
+            protocol: PickRule = PickRule.MEDIAN) -> float:
     """Speedup of *candidate* over *baseline* (>1 means faster)."""
-    return (protocol_estimate(baseline, protocol)
-            / protocol_estimate(candidate, protocol))
+    pick = _estimator(protocol)
+    return _estimate(baseline, pick) / _estimate(candidate, pick)
 
 
 def bootstrap_speedup_ci(baseline: Sequence[float],
                          candidate: Sequence[float],
-                         protocol: str = "median",
+                         protocol: PickRule = PickRule.MEDIAN,
                          confidence: float = 0.95,
                          n_boot: int = DEFAULT_BOOTSTRAP,
                          seed: int = 0) -> ConfidenceInterval:
@@ -94,14 +110,14 @@ def bootstrap_speedup_ci(baseline: Sequence[float],
     if not 0.0 < confidence < 1.0:
         raise MeasurementError(
             f"confidence must be in (0, 1), got {confidence}")
-    point = speedup(base, cand, protocol)
+    pick = _estimator(protocol)
+    point = _estimate(base, pick) / _estimate(cand, pick)
     rng = np.random.default_rng(seed)
     ratios = np.empty(n_boot, dtype=float)
     for i in range(n_boot):
         b = rng.choice(base, size=base.size, replace=True)
         c = rng.choice(cand, size=cand.size, replace=True)
-        ratios[i] = (protocol_estimate(b, protocol)
-                     / protocol_estimate(c, protocol))
+        ratios[i] = _estimate(b, pick) / _estimate(c, pick)
     tail = (1.0 - confidence) / 2.0 * 100.0
     low, high = np.percentile(ratios, [tail, 100.0 - tail])
     return ConfidenceInterval(mean=point, low=float(low),
@@ -127,7 +143,7 @@ class SpeedupVerdict:
     p_value: float              #: two-sided Mann-Whitney U
     alpha: float                #: significance level the gate used
     min_effect: float           #: practical-significance threshold
-    protocol: str               #: "min" or "median"
+    protocol: PickRule          #: PickRule.MIN or PickRule.MEDIAN
     regression: bool            #: True = fail the gate
 
     @property
@@ -140,7 +156,7 @@ class SpeedupVerdict:
         verdict = "REGRESSION" if self.regression else "ok"
         return (f"{verdict}: speedup {self.speedup:.3f}x "
                 f"[{self.ci.low:.3f}, {self.ci.high:.3f}] "
-                f"({self.protocol}-of-k, p={self.p_value:.4f}, "
+                f"({self.protocol.value}-of-k, p={self.p_value:.4f}, "
                 f"alpha={self.alpha}, min_effect={self.min_effect:.0%})")
 
 
@@ -148,7 +164,7 @@ def significant_regression(baseline: Sequence[float],
                            candidate: Sequence[float],
                            alpha: float = 0.05,
                            min_effect: float = 0.05,
-                           protocol: str = "median",
+                           protocol: PickRule = PickRule.MEDIAN,
                            confidence: float = 0.95,
                            n_boot: int = DEFAULT_BOOTSTRAP,
                            seed: int = 0) -> SpeedupVerdict:
@@ -168,14 +184,14 @@ def significant_regression(baseline: Sequence[float],
     """
     base = _as_sample(baseline, "significant_regression(baseline)")
     cand = _as_sample(candidate, "significant_regression(candidate)")
-    ratio = speedup(base, cand, protocol)
-    ci = bootstrap_speedup_ci(base, cand, protocol=protocol,
+    pick = _estimator(protocol)
+    ci = bootstrap_speedup_ci(base, cand, protocol=pick,
                               confidence=confidence, n_boot=n_boot,
                               seed=seed)
     p_value = _mannwhitney_p(base, cand)
-    slower = (protocol_estimate(cand, protocol)
-              > protocol_estimate(base, protocol) * (1.0 + min_effect))
-    return SpeedupVerdict(speedup=ratio, ci=ci, p_value=p_value,
-                          alpha=alpha, min_effect=min_effect,
-                          protocol=protocol,
+    base_est, cand_est = _estimate(base, pick), _estimate(cand, pick)
+    slower = cand_est > base_est * (1.0 + min_effect)
+    return SpeedupVerdict(speedup=base_est / cand_est, ci=ci,
+                          p_value=p_value, alpha=alpha,
+                          min_effect=min_effect, protocol=pick,
                           regression=bool(p_value < alpha and slower))

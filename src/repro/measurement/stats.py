@@ -1,9 +1,11 @@
 """Statistics over repeated measurements.
 
 Implements the summaries the tutorial's presentation section leans on:
-means with Student-t confidence intervals, and the CI-overlap test behind
+means with Student-t confidence intervals, and
+:meth:`ConfidenceInterval.overlaps`, the CI-overlap reading behind
 "overlapping confidence intervals sometimes mean the two quantities are
-statistically indifferent" (slide 142).
+statistically indifferent" (slide 142).  The significance test a gate
+runs is :func:`repro.measurement.speedup.significant_regression`.
 """
 
 from __future__ import annotations
@@ -210,18 +212,6 @@ def percentiles(values: Sequence[float],
         levels={level: float(value)
                 for level, value in zip(level_list, computed)},
         maximum=float(arr.max()))
-
-
-def statistically_different(a: Sequence[float], b: Sequence[float],
-                            confidence: float = 0.95) -> bool:
-    """Decide whether two samples differ, by CI overlap (slide 142).
-
-    Non-overlapping confidence intervals mean the means differ at the
-    given confidence; overlapping intervals mean the data cannot
-    distinguish them ("MINE vs YOURS" may be statistically indifferent).
-    """
-    return not confidence_interval(a, confidence).overlaps(
-        confidence_interval(b, confidence))
 
 
 def detect_outliers(values: Sequence[float],

@@ -13,12 +13,16 @@ import pytest
 from repro.core import TwoLevelFactorialDesign
 from repro.errors import RetryExhaustedError
 from repro.experiments.e21_fault_tolerance import (
-    CAMPAIGN_PROTOCOL,
     FaultyQueryWorkload,
     make_space,
 )
 from repro.faults import FaultPlan
-from repro.measurement import RetryPolicy, VirtualClock, run_harness
+from repro.measurement import (
+    LAST_OF_THREE_HOT,
+    RetryPolicy,
+    VirtualClock,
+    run_harness,
+)
 from repro.workloads import generate_tpch, tpch_query
 
 SF = 0.002
@@ -59,7 +63,7 @@ def campaign(database, checkpoint=None, max_attempts=3, die_at=None):
         workload.setup = crashing_setup
     return run_harness(
         TwoLevelFactorialDesign(make_space()), workload,
-        CAMPAIGN_PROTOCOL, clock=clock,
+        LAST_OF_THREE_HOT, clock=clock,
         retry=RetryPolicy(max_attempts=max_attempts, backoff_base_s=0.05),
         on_error="record", name="resume",
         checkpoint=checkpoint,

@@ -15,13 +15,17 @@ import pytest
 
 from repro.core import TwoLevelFactorialDesign
 from repro.experiments.e21_fault_tolerance import (
-    CAMPAIGN_PROTOCOL,
     FaultyQueryWorkload,
     make_space,
 )
 from repro.experiments.e22_trace_contrast import run_e22
 from repro.faults import FaultPlan
-from repro.measurement import RetryPolicy, VirtualClock, run_harness
+from repro.measurement import (
+    LAST_OF_THREE_HOT,
+    RetryPolicy,
+    VirtualClock,
+    run_harness,
+)
 from repro.obs import MetricsRegistry, Tracer, to_chrome_trace, to_jsonl
 from repro.workloads import generate_tpch, tpch_query
 from tests.integration import sim_digest
@@ -46,7 +50,7 @@ def traced_campaign(database, registry=None):
     tracer = Tracer(clock=clock, registry=registry)
     return run_harness(
         TwoLevelFactorialDesign(make_space()), workload,
-        CAMPAIGN_PROTOCOL, clock=clock,
+        LAST_OF_THREE_HOT, clock=clock,
         retry=RetryPolicy(max_attempts=3, backoff_base_s=0.05),
         on_error="record", name="trace", tracer=tracer)
 

@@ -12,8 +12,13 @@ from repro.db import (
     default_systems,
 )
 from repro.errors import MeasurementError
+from repro.measurement import (
+    PickRule,
+    RunProtocol,
+    State,
+    protocol_estimate,
+)
 from repro.measurement.comparison import (
-    ComparisonProtocol,
     FairComparisonHarness,
     PITFALLS,
     QuerySpec,
@@ -54,23 +59,14 @@ def spec(forced=(ORDER,)):
         QuerySpec("q1", SQL, forced_orders=tuple(forced)),))
 
 
-class TestProtocolValidation:
-    def test_unknown_stage_rejected(self):
-        with pytest.raises(MeasurementError, match="stage"):
-            ComparisonProtocol(stage="lukewarm")
+def hot(repetitions=2):
+    return RunProtocol(state=State.HOT, repetitions=repetitions,
+                       pick=PickRule.MEDIAN, warmups=1)
 
-    def test_negative_warmup_rejected(self):
-        with pytest.raises(MeasurementError, match="warmup"):
-            ComparisonProtocol(warmup=-1)
 
-    def test_zero_repetitions_rejected(self):
-        with pytest.raises(MeasurementError, match="repetitions"):
-            ComparisonProtocol(repetitions=0)
-
-    def test_describe(self):
-        text = ComparisonProtocol(stage="cold", warmup=0,
-                                  repetitions=3).describe()
-        assert "cold" in text and "0 warm-up" in text
+def cold(repetitions=2):
+    return RunProtocol(state=State.COLD, repetitions=repetitions,
+                       pick=PickRule.MEDIAN, warmups=0)
 
 
 class TestSpecValidation:
@@ -96,7 +92,7 @@ class TestHarnessValidation:
         with pytest.raises(MeasurementError, match="unknown systems"):
             FairComparisonHarness(
                 default_systems(),
-                protocols={"postgres": ComparisonProtocol()})
+                protocols={"postgres": hot()})
 
     def test_empty_metrics_rejected(self):
         with pytest.raises(MeasurementError, match="metrics"):
@@ -106,9 +102,7 @@ class TestHarnessValidation:
 class TestFairRun:
     @pytest.fixture(scope="class")
     def report(self):
-        harness = FairComparisonHarness(
-            default_systems(),
-            protocol=ComparisonProtocol(warmup=1, repetitions=2))
+        harness = FairComparisonHarness(default_systems(), protocol=hot())
         return harness.run(tiny_star(), spec())
 
     def test_all_checks_pass(self, report):
@@ -138,14 +132,32 @@ class TestFairRun:
         assert "(fair)" in report.format()
         assert "[ok  ]" in report.format()
 
+    def test_one_median_per_system(self, report):
+        """The printed median and the speedup point share one
+        estimator, also on an even pool (2 variants x 2 runs)."""
+        pools = {name: [] for name in report.systems}
+        for m in report.measurements:
+            pools[m.system].extend(m.wall_samples)
+        for entry in report.summaries:
+            assert len(pools[entry.system]) == 4
+            assert entry.median_wall_s == protocol_estimate(
+                pools[entry.system])
+        baseline = report.summary(report.baseline).median_wall_s
+        for entry in report.summaries[1:]:
+            assert entry.speedup_vs_baseline.mean == \
+                baseline / entry.median_wall_s
+
+    def test_to_dict_names_run_protocol_fields(self, report):
+        protocol = report.to_dict()["summaries"][0]["protocol"]
+        assert protocol == {"state": "hot", "warmups": 1,
+                            "repetitions": 2, "pick": "median"}
+
 
 class TestUnfairRuns:
     def test_mismatched_warmup_flagged(self):
         harness = FairComparisonHarness(
-            default_systems(),
-            protocol=ComparisonProtocol(warmup=1, repetitions=2),
-            protocols={"sqlite": ComparisonProtocol(
-                stage="cold", warmup=0, repetitions=2)})
+            default_systems(), protocol=hot(),
+            protocols={"sqlite": cold()})
         report = harness.run(tiny_star(), spec())
         flagged = {c.key for c in report.warnings}
         assert {"stage-match", "warmup-match"} <= flagged
@@ -155,10 +167,7 @@ class TestUnfairRuns:
     def test_cold_stage_without_make_cold_flagged(self):
         # Every system asks for cold, but SQLite cannot flush: its
         # "cold" runs are warm, so the stages do not really match.
-        harness = FairComparisonHarness(
-            default_systems(),
-            protocol=ComparisonProtocol(stage="cold", warmup=0,
-                                        repetitions=2))
+        harness = FairComparisonHarness(default_systems(), protocol=cold())
         report = harness.run(tiny_star(), spec())
         check = report.pitfall("stage-match")
         assert not check.passed
@@ -168,16 +177,14 @@ class TestUnfairRuns:
 
     def test_single_metric_flagged(self):
         harness = FairComparisonHarness(
-            default_systems(),
-            protocol=ComparisonProtocol(warmup=0, repetitions=1),
+            default_systems(), protocol=hot(repetitions=1),
             metrics=("wall_s",))
         report = harness.run(tiny_star(), spec())
         assert not report.pitfall("multiple-metrics").passed
 
     def test_no_forced_orders_flagged(self):
         harness = FairComparisonHarness(
-            default_systems(),
-            protocol=ComparisonProtocol(warmup=0, repetitions=1))
+            default_systems(), protocol=hot(repetitions=1))
         report = harness.run(tiny_star(), spec(forced=()))
         check = report.pitfall("plan-shapes")
         assert not check.passed
@@ -191,7 +198,7 @@ class TestForcingRefusals:
 
         harness = FairComparisonHarness(
             (MiniDBLoopSystem(), NoForce(label="no-force")),
-            protocol=ComparisonProtocol(warmup=0, repetitions=1))
+            protocol=hot(repetitions=1))
         report = harness.run(tiny_star(), spec())
         check = report.pitfall("plan-shapes")
         assert not check.passed
@@ -209,6 +216,6 @@ class TestForcingRefusals:
 
         harness = FairComparisonHarness(
             (MiniDBLoopSystem(), NoForce(label="no-force")),
-            protocol=ComparisonProtocol(warmup=0, repetitions=1))
+            protocol=hot(repetitions=1))
         report = harness.run(tiny_star(), spec())
         assert report.pitfall("result-equivalence").passed

@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import MeasurementError
 from repro.measurement import (
+    PickRule,
     bootstrap_speedup_ci,
     protocol_estimate,
     significant_regression,
@@ -14,14 +15,21 @@ from repro.measurement import (
 
 class TestProtocolEstimate:
     def test_min_protocol(self):
-        assert protocol_estimate([3.0, 1.0, 2.0], "min") == 1.0
+        assert protocol_estimate([3.0, 1.0, 2.0], PickRule.MIN) == 1.0
 
     def test_median_protocol_odd(self):
-        assert protocol_estimate([3.0, 1.0, 2.0], "median") == 2.0
+        assert protocol_estimate([3.0, 1.0, 2.0], PickRule.MEDIAN) == 2.0
+
+    def test_median_protocol_even_is_the_true_median(self):
+        assert protocol_estimate([4.0, 1.0, 3.0, 2.0]) == 2.5
 
     def test_unknown_protocol(self):
-        with pytest.raises(MeasurementError, match="unknown protocol"):
-            protocol_estimate([1.0], "mean")
+        for rule in (PickRule.MEAN, PickRule.LAST, "mean", "bogus"):
+            with pytest.raises(MeasurementError, match="unknown protocol"):
+                protocol_estimate([1.0], rule)
+
+    def test_rule_value_names_the_rule(self):
+        assert protocol_estimate([3.0, 1.0, 2.0], "min") == 1.0
 
     def test_empty_sample(self):
         with pytest.raises(MeasurementError, match="empty"):
@@ -44,6 +52,15 @@ class TestBootstrapCI:
         first = bootstrap_speedup_ci(a, b, n_boot=300)
         second = bootstrap_speedup_ci(a, b, n_boot=300)
         assert (first.low, first.high) == (second.low, second.high)
+
+    def test_rule_value_gives_the_same_interval(self):
+        rng = np.random.default_rng(3)
+        a = (0.01 + rng.normal(0, 0.001, 12)).clip(1e-6).tolist()
+        b = (0.012 + rng.normal(0, 0.001, 12)).clip(1e-6).tolist()
+        assert bootstrap_speedup_ci(a, b, protocol="median", seed=9,
+                                    n_boot=300) == \
+            bootstrap_speedup_ci(a, b, protocol=PickRule.MEDIAN, seed=9,
+                                 n_boot=300)
 
     def test_interval_brackets_the_point(self):
         rng = np.random.default_rng(4)
@@ -113,6 +130,7 @@ class TestSignificantRegression:
     def test_format_mentions_verdict(self):
         ok = significant_regression([0.01] * 5, [0.01] * 5, n_boot=50)
         assert ok.format().startswith("ok:")
+        assert "(median-of-k," in ok.format()
         bad = significant_regression(
             [0.010, 0.0101, 0.0099, 0.0102, 0.0098] * 4,
             [0.015, 0.0151, 0.0149, 0.0152, 0.0148] * 4, n_boot=50)

@@ -1,6 +1,5 @@
 """Tests for measurement statistics and result sets."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +12,6 @@ from repro.measurement import (
     detect_outliers,
     geometric_mean,
     percentiles,
-    statistically_different,
     summarize,
 )
 
@@ -73,19 +71,6 @@ class TestConfidenceInterval:
         assert a.overlaps(b)
         c = confidence_interval([100, 101, 102])
         assert not a.overlaps(c)
-
-
-class TestStatisticallyDifferent:
-    def test_clearly_different(self):
-        a = [10.0, 10.1, 9.9, 10.05]
-        b = [20.0, 20.1, 19.9, 20.05]
-        assert statistically_different(a, b)
-
-    def test_indistinguishable(self):
-        rng = np.random.default_rng(5)
-        a = rng.normal(10, 5, 8).tolist()
-        b = rng.normal(10, 5, 8).tolist()
-        assert not statistically_different(a, b)
 
 
 class TestOutliersAndAverages:
