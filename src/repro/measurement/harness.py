@@ -44,7 +44,12 @@ from repro.errors import MeasurementError, ReproError, RetryExhaustedError
 from repro.core.designs import Design
 from repro.measurement.checkpoint import CheckpointEntry, CheckpointJournal
 from repro.measurement.clocks import Clock, ProcessClock
-from repro.measurement.protocol import ProtocolResult, RunProtocol
+from repro.measurement.protocol import (
+    PickRule,
+    ProtocolResult,
+    RunProtocol,
+    State,
+)
 from repro.measurement.results import ResultSet
 from repro.measurement.retry import RetryPolicy
 
@@ -268,25 +273,21 @@ class HarnessReport:
         raw-sample retention.  :meth:`documentation` appends the tally
         so the audit travels with the published paragraph.
         """
-        protocol_mod = __import__("repro.measurement.protocol",
-                                  fromlist=["PickRule", "State"])
-        checks = (
+        return (
             ("repetitions >= 3 so run-to-run variance is observable",
              self.protocol.repetitions >= 3),
             ("warm state controlled (explicit cold runs or >= 1 "
              "unmeasured warm-up)",
-             self.protocol.state is protocol_mod.State.COLD
+             self.protocol.state is State.COLD
              or self.protocol.warmups >= 1),
             ("summary is an order statistic (min/median/last), not a "
-             "mean", self.protocol.pick is not protocol_mod.PickRule.MEAN),
-            ("every design point measured or its failure disclosed",
-             self.survival_rate == 1.0),
+             "mean", self.protocol.pick is not PickRule.MEAN),
+            ("every design point measured", self.survival_rate == 1.0),
             ("retry discipline declared up front",
              self.retry is not None),
             ("raw per-repetition timings retained for CI analysis",
              bool(self.raw)),
         )
-        return checks
 
     def documentation(self) -> str:
         """The methodology paragraph to publish with the numbers.

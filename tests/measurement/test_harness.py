@@ -3,9 +3,10 @@
 import pytest
 
 from repro.core import Factor, FactorSpace, FullFactorialDesign, two_level
-from repro.errors import MeasurementError
+from repro.errors import ClientDisconnectError, MeasurementError
 from repro.measurement import (
     LAST_OF_THREE_HOT,
+    RetryPolicy,
     RunProtocol,
     State,
     VirtualClock,
@@ -103,6 +104,40 @@ class TestRunHarness:
                              LAST_OF_THREE_HOT, clock=clock)
         assert set(report.raw) == {0, 1, 2}
         assert all(len(outcome.runs) == 3 for outcome in report.raw.values())
+
+
+class TestSelfAudit:
+    def campaign(self, workload, clock):
+        return run_harness(FullFactorialDesign(make_space()), workload,
+                           LAST_OF_THREE_HOT, clock=clock,
+                           retry=RetryPolicy(max_attempts=2),
+                           on_error="record")
+
+    def test_complete_campaign_passes_every_check(self):
+        clock = VirtualClock()
+        report = self.campaign(SimWorkload(clock), clock)
+        audit = report.self_audit()
+        assert len(audit) == 6
+        assert all(ok for __, ok in audit)
+        assert report.documentation().endswith(
+            "self-audit: 6/6 checks passed")
+
+    def test_recorded_failure_flags_only_coverage(self):
+        class DropsSizeTwo(SimWorkload):
+            def run(self):
+                if self.size == 2:
+                    raise ClientDisconnectError("connection dropped")
+                super().run()
+
+        clock = VirtualClock()
+        report = self.campaign(DropsSizeTwo(clock), clock)
+        assert report.n_failed == 1
+        assert [label for label, ok in report.self_audit() if not ok] \
+            == ["every design point measured"]
+        text = report.documentation()
+        assert "1 of 3 point(s) failed" in text
+        assert text.endswith("self-audit: 5/6 checks passed (flagged: "
+                             "every design point measured)")
 
 
 class TestCallableWorkload:
