@@ -55,15 +55,11 @@ def _estimator(protocol: Union[PickRule, str]) -> PickRule:
     A rule's value string (``"min"``, ``"median"``) names the same
     rule.  Called once per public call, never per bootstrap resample.
     """
-    try:
-        pick = PickRule(protocol)
-    except ValueError:
-        pick = None
-    if pick not in (PickRule.MIN, PickRule.MEDIAN):
+    if protocol not in (PickRule.MIN, PickRule.MEDIAN, "min", "median"):
         raise MeasurementError(
             f"unknown protocol {protocol!r}; expected PickRule.MIN or "
             "PickRule.MEDIAN")
-    return pick
+    return PickRule(protocol)
 
 
 def _estimate(values: Sequence[float], pick: PickRule) -> float:
