@@ -19,8 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
-import numpy as np
-
 from repro.db import kernels
 from repro.db.buffer import BufferPool
 from repro.db.context import (
@@ -447,12 +445,11 @@ class Engine:
             # SelBatch; gather it once here.
             batch = kernels.materialize_charged(ctx, batch)
             columns = tuple(batch)
-            arrays = [batch[name] for name in columns]
-            n = len(arrays[0]) if arrays else 0
-            rows = tuple(tuple(_to_python(col[i]) for col in arrays)
-                         for i in range(n))
+            # One pass per column: tolist() yields Python ints, floats
+            # (NaN for NULL) and strs, decoding a coded column once.
+            rows = tuple(zip(*(batch[name].tolist() for name in columns)))
             if mat_span is not None:
-                mat_span.set(rows=n)
+                mat_span.set(rows=len(rows))
         total = self.clock.sample() - start
         server_time = TimeBreakdown(label=f"server:{sql[:40]}",
                                     real=total.real, user=total.user,
@@ -539,12 +536,3 @@ class Engine:
 
     # QueryResult carries per-query peak memory; engine-wide peaks are
     # per-execution (see ExecutionContext.peak_memory_bytes).
-
-
-def _to_python(value: Any) -> Any:
-    """Convert numpy scalars to plain Python for result rows."""
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    return value

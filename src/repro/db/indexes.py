@@ -157,7 +157,7 @@ class IndexScan(PlanNode):
         ctx.charge_cpu("scan", ctx.costs.scan_ns_per_value
                        * rows.size * len(names))
         ctx.charge_tuples(rows.size)
-        return {name: table.column(name).data[rows] for name in names}
+        return {name: table.column(name).in_flight[rows] for name in names}
 
 
 def try_index_scan(ctx_database, index_catalog: IndexCatalog,

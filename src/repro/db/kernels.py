@@ -17,8 +17,9 @@ most once.
 
 - :func:`dict_encode` — dictionary-encode one or more key columns into
   dense composite group ids, in ascending key order: integer and DATE
-  columns and composite codes are renumbered through a presence bitmap;
-  FLOAT64 (NaN), string and too-sparse keys are sorted (``np.unique``);
+  columns, coded string columns (their dictionary codes) and composite
+  codes are renumbered through a presence bitmap; FLOAT64 (NaN),
+  too-sparse keys and any raw object array are sorted (``np.unique``);
 - :func:`encode_join_keys` — the same encoding applied jointly to both
   sides of an equi-join, so equal keys get equal codes across sides;
 - :func:`join_match` — equi-join matching emitting ``(left_idx,
@@ -48,6 +49,18 @@ copying every column.  Downstream non-breaking operators compose with
 engine's materialisation phase gather exactly once via
 :func:`materialize`.
 
+Coded strings
+-------------
+A STRING column travels from the scans to the engine's root as a
+*coded column*: a :class:`~repro.db.storage.Dictionary` holding the
+row codes and the column's sorted values, so code order is value
+order.  Key kernels rank the codes; a comparison with a string literal
+compares codes against the literal's bounds in the dictionary; ``LIKE``
+matches each distinct value once; two columns with different
+dictionaries join through one merged dictionary.  Any other use
+decodes first (``np.asarray``), and the engine decodes the result
+columns once.
+
 Every kernel runs under a ``maybe_span(..., category="kernel")`` so
 traces and flamegraphs attribute execution time to individual kernels
 (and the metrics registry counts ``spans.kernel``).
@@ -74,6 +87,7 @@ from repro.db.expressions import (
     Not,
     conjoin,
 )
+from repro.db.storage import Dictionary
 from repro.db.types import DataType
 from repro.errors import PlanError
 from repro.obs import maybe_span
@@ -247,38 +261,53 @@ def dict_encode(columns: Sequence[np.ndarray]
     n = len(columns[0])
     with maybe_span("kernel.dict_encode", "kernel",
                     rows=n, keys=len(columns)):
-        codes, n_codes = _encode_column(np.asarray(columns[0]))
+        codes, span = _column_keys(columns[0])
         for col in columns[1:]:
-            inverse, n_uniques = _encode_column(np.asarray(col))
-            # Mixed-radix product of two dense codes, renumbered at once
-            # so the next product stays below n**2.
-            codes = codes * np.int64(n_uniques) + inverse
-            codes, n_codes = _compact(codes, n_codes * n_uniques)
-        return codes, n_codes
+            keys, key_span = _column_keys(col)
+            if span * key_span > _BITMAP_SLOTS_PER_ROW * n:
+                # Too wide for one bitmap at the end: rank both sides
+                # first, so the product stays below n**2.
+                codes, span = _compact(codes, span)
+                keys, key_span = _compact(keys, key_span)
+            # Mixed-radix product, ascending in the composite key.
+            codes = codes * np.int64(key_span) + keys
+            span *= key_span
+        return _compact(codes, span)
 
 
-def _encode_column(col: np.ndarray) -> Tuple[np.ndarray, int]:
-    """``(codes, n_distinct)`` of one column, codes in ascending value
-    order.  Integer (and DATE) columns are renumbered through a presence
-    bitmap over their value span.  NumPy sorts Python strings (object
-    arrays) slowly, so those are factorised through a dict and only the
-    distinct values sorted."""
+def _column_keys(col) -> Tuple[np.ndarray, int]:
+    """``(keys, span)``: one column as non-negative integers below
+    *span* that ascend with its values.  A coded column gives its
+    dictionary codes, and an integer (or DATE) column its offsets from
+    its minimum when that span fits a presence bitmap; anything else is
+    sorted into dense ranks."""
+    if isinstance(col, Dictionary):
+        return col.codes, col.n_values
+    col = np.asarray(col)
     if col.dtype.kind in "iu" and col.size:
         low = int(col.min())
         span = int(col.max()) - low + 1
         if span <= _BITMAP_SLOTS_PER_ROW * col.size:
-            return _dense_rank(col - low, span)
-    if col.dtype != object:
-        uniques, inverse = np.unique(col, return_inverse=True)
-        return inverse.astype(np.int64, copy=False), len(uniques)
-    first: Dict[object, int] = {}
-    inverse = np.fromiter((first.setdefault(v, len(first)) for v in col),
-                          dtype=np.int64, count=len(col))
-    values = list(first)
-    ranks = np.empty(len(values), dtype=np.int64)
-    ranks[sorted(range(len(values)), key=values.__getitem__)] = \
-        np.arange(len(values))
-    return ranks[inverse], len(values)
+            return col - low, span
+    uniques, inverse = np.unique(col, return_inverse=True)
+    return inverse.astype(np.int64, copy=False), len(uniques)
+
+
+def _comparable(left, right) -> Tuple[np.ndarray, np.ndarray]:
+    """Two columns as arrays that compare as their values do.
+
+    Two coded columns become codes into one sorted dictionary: their
+    own codes when they share one, else each side's codes translated
+    once into the merged dictionary of both.  Any other pair is
+    decoded.
+    """
+    if not (isinstance(left, Dictionary) and isinstance(right, Dictionary)):
+        return np.asarray(left), np.asarray(right)
+    if left.values is right.values:
+        return left.codes, right.codes
+    merged = np.union1d(left.values, right.values)
+    return (np.searchsorted(merged, left.values)[left.codes],
+            np.searchsorted(merged, right.values)[right.codes])
 
 
 def encode_join_keys(left_cols: Sequence[np.ndarray],
@@ -287,7 +316,8 @@ def encode_join_keys(left_cols: Sequence[np.ndarray],
     """Comparable composite codes for the two sides of an equi-join.
 
     Each key position's left and right columns are concatenated before
-    encoding, so a key value present on both sides maps to one code.
+    encoding, so a key value present on both sides maps to one code;
+    coded columns are first put on one dictionary (:func:`_comparable`).
     A NULL (NaN) key equals nothing, not even another NULL: rows with a
     NULL in any key column get code -1 on the left and -2 on the right,
     which no row on the other side carries.
@@ -296,7 +326,7 @@ def encode_join_keys(left_cols: Sequence[np.ndarray],
         raise PlanError(
             "join encoding needs equally many (>=1) keys on both sides")
     n_left = len(left_cols[0])
-    combined = [np.concatenate([np.asarray(l), np.asarray(r)])
+    combined = [np.concatenate(_comparable(l, r))
                 for l, r in zip(left_cols, right_cols)]
     codes, __ = dict_encode(combined)
     null = np.zeros(len(codes), dtype=bool)
@@ -659,7 +689,16 @@ def _build_compiled(expr: Expr) -> CompiledExpr:
         left = compile_expr(expr.left)
         right = compile_expr(expr.right)
         ufunc = _not_equal if expr.op == "<>" else CMP_OPS[expr.op]
-        return lambda batch: ufunc(left(batch), right(batch))
+
+        def compare(batch, left=left, right=right, ufunc=ufunc):
+            return ufunc(*_comparable(left(batch), right(batch)))
+        if _is_string_literal(expr.right):
+            return _literal_comparison(left, expr.op, expr.right.value,
+                                       compare)
+        if _is_string_literal(expr.left):
+            return _literal_comparison(right, _FLIPPED[expr.op],
+                                       expr.left.value, compare)
+        return compare
     if isinstance(expr, BoolOp):
         parts = [compile_expr(p) for p in expr.parts]
         combine = np.logical_and if expr.op == "and" else np.logical_or
@@ -678,7 +717,7 @@ def _build_compiled(expr: Expr) -> CompiledExpr:
         high = compile_expr(expr.high)
 
         def between(batch, value=value, low=low, high=high):
-            v = value(batch)
+            v = np.asarray(value(batch))  # a coded column decodes here
             return np.logical_and(v >= low(batch), v <= high(batch))
         return between
     if isinstance(expr, InList):
@@ -687,9 +726,16 @@ def _build_compiled(expr: Expr) -> CompiledExpr:
 
         def in_list(batch, value=value, values=values):
             v = value(batch)
+            probes = values
+            if isinstance(v, Dictionary):
+                # Each member's code, probed once; a member missing from
+                # the dictionary (or not a string) matches no row.
+                codes = (v.code_for(c) for c in values if isinstance(c, str))
+                probes = [code for code in codes if code is not None]
+                v = v.codes
             out = np.zeros(len(v), dtype=bool)
-            for candidate in values:
-                out |= (v == candidate)
+            for probe in probes:
+                out |= (v == probe)
             return out
         return in_list
     if isinstance(expr, Like):
@@ -698,13 +744,59 @@ def _build_compiled(expr: Expr) -> CompiledExpr:
 
         def like(batch, value=value, pattern=pattern):
             v = value(batch)
-            out = np.empty(len(v), dtype=bool)
-            for i, s in enumerate(v):
-                out[i] = bool(pattern.match(s))
-            return out
+            if not isinstance(v, Dictionary):
+                return _like_rows(v, pattern)
+            # Match each distinct value once, then index by code: the
+            # whole dictionary, or only the values present when the
+            # batch holds fewer rows than the dictionary holds values.
+            if v.n_values <= len(v):
+                return _like_rows(v.values, pattern)[v.codes]
+            present, inverse = np.unique(v.codes, return_inverse=True)
+            return _like_rows(v.values[present], pattern)[inverse]
         return like
     raise PlanError(
         f"cannot compile expression node {type(expr).__name__}")
+
+
+def _like_rows(strings, pattern) -> np.ndarray:
+    """Whether each string matches the compiled LIKE *pattern*."""
+    return np.fromiter((pattern.match(s) is not None for s in strings),
+                       dtype=bool, count=len(strings))
+
+
+def _is_string_literal(expr: Expr) -> bool:
+    return isinstance(expr, Literal) and isinstance(expr.value, str)
+
+
+#: ``a OP b`` holds exactly where ``b FLIPPED[OP] a`` does.
+_FLIPPED = {"=": "=", "<>": "<>", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
+
+
+def _literal_comparison(column: CompiledExpr, op: str, value: str,
+                        compare: CompiledExpr) -> CompiledExpr:
+    """``column OP value`` for a string literal *value*: on the codes
+    when the column arrives coded, else the generic *compare*."""
+    def literal_comparison(batch):
+        v = column(batch)
+        if not isinstance(v, Dictionary):
+            return compare(batch)
+        # The literal's codes are [lo, hi): one code when the value is
+        # in the dictionary, none (lo == hi) when it is not.
+        lo = int(np.searchsorted(v.values, value, side="left"))
+        hi = int(np.searchsorted(v.values, value, side="right"))
+        codes = v.codes
+        if op in ("=", "<>"):
+            if lo == hi:
+                return np.full(len(codes), op == "<>")
+            return codes == lo if op == "=" else codes != lo
+        if op == "<":
+            return codes < lo
+        if op == "<=":
+            return codes < hi
+        if op == ">":
+            return codes >= hi
+        return codes >= lo
+    return literal_comparison
 
 
 def _not_equal(left: np.ndarray, right: np.ndarray) -> np.ndarray:

@@ -29,6 +29,7 @@ from repro.db import kernels
 from repro.db.context import ExecutionContext
 from repro.db.expressions import Expr
 from repro.db.plan import Batch, PlanNode, batch_rows, require_columns
+from repro.db.storage import Dictionary
 from repro.db.types import DataType
 from repro.errors import PlanError
 
@@ -181,7 +182,7 @@ class SeqScan(PlanNode):
         ctx.charge_cpu("scan",
                        ctx.costs.scan_ns_per_value * n_scanned * len(names))
         ctx.charge_tuples(n_scanned)
-        base = {name: table.column(name).data for name in names}
+        base = {name: table.column(name).in_flight for name in names}
         if survivors is None:
             return base
         if ctx.profile.late_materialization:
@@ -330,7 +331,8 @@ class Project(PlanNode):
         for expr, alias in self.items:
             ctx.charge_cpu(expr.cost_category(),
                            per_value * n * expr.node_count())
-            out[alias] = np.asarray(kernels.compile_expr(expr)(view))
+            # A column reference passes a coded column on as it is.
+            out[alias] = kernels.compile_expr(expr)(view)
         ctx.charge_tuples(n)
         return out
 
@@ -783,8 +785,10 @@ class MergeJoin(PlanNode):
         require_columns(right, [self.right_key], self.name() + " (right)")
         left = kernels.materialize_charged(ctx, left)
         right = kernels.materialize_charged(ctx, right)
-        lk = left[self.left_key]
-        rk = right[self.right_key]
+        # Merging compares values across the two inputs: coded string
+        # keys decode here.
+        lk = np.asarray(left[self.left_key])
+        rk = np.asarray(right[self.right_key])
         self._check_sorted(lk, "left")
         self._check_sorted(rk, "right")
         n_left, n_right = len(lk), len(rk)
@@ -883,7 +887,10 @@ class Sort(PlanNode):
         self.aux_bytes = 8 * n  # the permutation vector
         # Stable sorts applied from the least significant key backwards.
         for column, ascending in reversed(self.keys):
-            values = batch[column][order]
+            keys = batch[column]
+            if isinstance(keys, Dictionary):
+                keys = keys.codes  # code order is value order
+            values = keys[order]
             if ascending:
                 idx = np.argsort(values, kind="stable")
             else:

@@ -42,7 +42,7 @@ class ColumnSchema:
             raise CatalogError(f"bad column name {self.name!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dictionary:
     """Order-preserving dictionary encoding of one column.
 
@@ -50,6 +50,15 @@ class Dictionary:
     int64 code per row (``values[codes] == data``).  Sorted values make
     code order mirror value order, so zone maps over codes prune range
     predicates exactly like zone maps over the raw values.
+
+    A STRING column also travels through the executor in this form, as
+    a *coded column*: indexing with an index array, mask or slice
+    gathers the codes and keeps ``values``, and ``np.asarray`` (or
+    ``==``/``!=``) decodes, so code that does not know codes still
+    computes on the right strings.  It is deliberately not an ndarray:
+    an integer code compared with a string, or two columns' codes
+    concatenated, would give wrong rows without an error.  ``codes``
+    may be the table's own array, so nothing writes into it.
     """
 
     values: np.ndarray
@@ -58,6 +67,36 @@ class Dictionary:
     @property
     def n_values(self) -> int:
         return len(self.values)
+
+    @property
+    def dtype(self) -> np.dtype:
+        """The dtype of the decoded values (object for strings)."""
+        return self.values.dtype
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, index):
+        codes = self.codes[index]
+        if np.ndim(codes) == 0:
+            return self.values[codes]
+        return Dictionary(values=self.values, codes=codes)
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        decoded = self.values[self.codes]
+        return decoded if dtype is None else decoded.astype(dtype)
+
+    def __eq__(self, other):
+        return np.asarray(self) == other
+
+    def __ne__(self, other):
+        return np.asarray(self) != other
+
+    __hash__ = None
+
+    def tolist(self) -> list:
+        """The decoded values as Python objects, one per row."""
+        return self.values[self.codes].tolist()
 
     def code_for(self, value: Any) -> Optional[int]:
         """The code of *value*, or None when it is not in the dictionary
@@ -151,10 +190,11 @@ def _should_dictionary_encode(dtype: DataType, data: np.ndarray) -> bool:
 class Column:
     """A named, typed numpy-backed column.
 
-    ``data`` is always the decoded array operators compute on; the
-    optional :class:`Dictionary` and :class:`ZoneMap` are storage-level
+    ``data`` is always the decoded array; the optional
+    :class:`Dictionary` and :class:`ZoneMap` are storage-level
     companions built lazily and cached (``Table.from_columns`` builds
     the dictionary eagerly at load time for string/low-NDV columns).
+    Scans hand the operators :attr:`in_flight`.
     """
 
     def __init__(self, schema: ColumnSchema, data: np.ndarray):
@@ -202,6 +242,15 @@ class Column:
                 self._dictionary = Dictionary(
                     values=values, codes=codes.astype(np.int64))
         return self._dictionary
+
+    @property
+    def in_flight(self):
+        """The column as the executor carries it: a STRING column's
+        :class:`Dictionary` (codes plus sorted values), any other
+        column's ``data``."""
+        if self.dtype is DataType.STRING:
+            return self.dictionary
+        return self.data
 
     def zone_map(self, block_rows: int = ZONE_BLOCK_ROWS) -> ZoneMap:
         """The per-block zone map (cached after the first build)."""
