@@ -37,6 +37,11 @@ from repro.measurement.stats import ConfidenceInterval
 #: Bootstrap resamples; enough for stable 95% percentile endpoints.
 DEFAULT_BOOTSTRAP = 2000
 
+#: Most sample values one block of bootstrap resamples holds per side
+#: (8 MB of indices and 8 MB of values): a 15,630-sample bench takes 67
+#: resamples a block instead of one 250 MB matrix for all 2,000.
+_BLOCK_VALUES = 1 << 20
+
 
 def _as_sample(values: Sequence[float], who: str) -> np.ndarray:
     arr = np.asarray(list(values), dtype=float)
@@ -68,6 +73,16 @@ def _estimate(values: Sequence[float], pick: PickRule) -> float:
         return float(arr.min())
     return float(np.sort(arr)[arr.size // 2]
                  if arr.size % 2 else np.median(arr))
+
+
+def _estimate_rows(samples: np.ndarray, pick: PickRule) -> np.ndarray:
+    """:func:`_estimate` of each row of a ``(k, n)`` sample matrix."""
+    if pick is PickRule.MIN:
+        return samples.min(axis=1)
+    middle = samples.shape[1] // 2
+    if samples.shape[1] % 2:
+        return np.partition(samples, middle, axis=1)[:, middle]
+    return np.median(samples, axis=1)
 
 
 def protocol_estimate(values: Sequence[float],
@@ -110,10 +125,20 @@ def bootstrap_speedup_ci(baseline: Sequence[float],
     point = _estimate(base, pick) / _estimate(cand, pick)
     rng = np.random.default_rng(seed)
     ratios = np.empty(n_boot, dtype=float)
-    for i in range(n_boot):
-        b = rng.choice(base, size=base.size, replace=True)
-        c = rng.choice(cand, size=cand.size, replace=True)
-        ratios[i] = _estimate(b, pick) / _estimate(c, pick)
+    # Each resample draws its base indices, then its candidate indices,
+    # the stream rng.choice(sample, size=n) would consume, so the
+    # interval does not depend on the block size.  A block of resamples
+    # is estimated at once; the block bounds the memory.
+    block = max(1, _BLOCK_VALUES // max(base.size, cand.size))
+    for start in range(0, n_boot, block):
+        rows = min(block, n_boot - start)
+        b = np.empty((rows, base.size), dtype=np.int64)
+        c = np.empty((rows, cand.size), dtype=np.int64)
+        for i in range(rows):
+            b[i] = rng.integers(0, base.size, size=base.size)
+            c[i] = rng.integers(0, cand.size, size=cand.size)
+        ratios[start:start + rows] = (_estimate_rows(base[b], pick)
+                                      / _estimate_rows(cand[c], pick))
     tail = (1.0 - confidence) / 2.0 * 100.0
     low, high = np.percentile(ratios, [tail, 100.0 - tail])
     return ConfidenceInterval(mean=point, low=float(low),

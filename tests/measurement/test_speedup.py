@@ -1,5 +1,7 @@
 """Tests for the noise-aware speedup analysis (Touati-style)."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -74,6 +76,52 @@ class TestBootstrapCI:
         with pytest.raises(MeasurementError, match="confidence"):
             bootstrap_speedup_ci([1.0, 2.0], [1.0, 2.0],
                                  confidence=1.5)
+
+
+def _timings(n, step, base):
+    """*n* distinct-ish timings in a fixed pattern."""
+    return [base + (i * step % 101) / 100 for i in range(n)]
+
+
+class TestBootstrapPinned:
+    """Intervals pinned to the digit.  Each resample draws what
+    ``rng.choice`` draws, base then candidate, however many resamples
+    are estimated at once."""
+
+    #: ``(n_base, n_candidate, rule, low, high)`` at seed 7.
+    PINNED = [
+        (1, 1, PickRule.MIN, 1.25, 1.25),
+        (1, 1, PickRule.MEDIAN, 1.25, 1.25),
+        (1, 6, PickRule.MIN, 1.1111111111111112, 1.25),
+        (1, 6, PickRule.MEDIAN, 0.7117437722419929, 1.212121212121212),
+        (2, 3, PickRule.MIN, 1.0300751879699248, 1.7125000000000001),
+        (2, 3, PickRule.MEDIAN, 0.7518796992481203, 1.7125000000000001),
+        (5, 4, PickRule.MIN, 0.7518796992481203, 1.7125000000000001),
+        (5, 4, PickRule.MEDIAN, 0.7971014492753624, 1.8375),
+        (12, 12, PickRule.MIN, 1.0526315789473684, 1.4117647058823528),
+        (12, 12, PickRule.MEDIAN, 0.8856088560885609, 1.689099099099098),
+        (24, 7, PickRule.MIN, 1.1111111111111112, 1.375),
+        (24, 7, PickRule.MEDIAN, 0.9891202190258255, 1.8470588235294114),
+    ]
+
+    @pytest.mark.parametrize("n_base, n_cand, rule, low, high", PINNED)
+    def test_interval_pinned(self, n_base, n_cand, rule, low, high):
+        ci = bootstrap_speedup_ci(_timings(n_base, 37, 1.0),
+                                  _timings(n_cand, 53, 0.8),
+                                  protocol=rule, seed=7)
+        assert (ci.low, ci.high) == (low, high)
+
+    @pytest.mark.parametrize("rule", [PickRule.MIN, PickRule.MEDIAN])
+    def test_block_size_does_not_change_the_interval(self, rule,
+                                                     monkeypatch):
+        module = importlib.import_module("repro.measurement.speedup")
+        base, cand = _timings(31, 37, 1.0), _timings(30, 53, 0.8)
+        whole = bootstrap_speedup_ci(base, cand, protocol=rule, n_boot=501)
+        # Two resamples a block; the last block holds one.
+        monkeypatch.setattr(module, "_BLOCK_VALUES", 2 * 31 + 1)
+        blocked = bootstrap_speedup_ci(base, cand, protocol=rule,
+                                       n_boot=501)
+        assert blocked == whole
 
 
 class TestSignificantRegression:
