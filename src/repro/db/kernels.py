@@ -746,11 +746,8 @@ def _build_compiled(expr: Expr) -> CompiledExpr:
             v = value(batch)
             if not isinstance(v, Dictionary):
                 return _like_rows(v, pattern)
-            # Match each distinct value once, then index by code: the
-            # whole dictionary, or only the values present when the
-            # batch holds fewer rows than the dictionary holds values.
-            if v.n_values <= len(v):
-                return _like_rows(v.values, pattern)[v.codes]
+            # Match each value present once, then index by code: at most
+            # min(rows, dictionary values) regex calls.
             present, inverse = np.unique(v.codes, return_inverse=True)
             return _like_rows(v.values[present], pattern)[inverse]
         return like
