@@ -135,6 +135,11 @@ CMP_OPS = {
     ">=": np.greater_equal,
 }
 
+#: ``a OP b`` holds exactly where ``b FLIPPED_OPS[OP] a`` does: the
+#: operator for ``literal OP column`` rewritten column-first.
+FLIPPED_OPS = {"=": "=", "<>": "<>", "<": ">", "<=": ">=", ">": "<",
+               ">=": "<="}
+
 
 @dataclass(frozen=True)
 class Comparison(Expr):

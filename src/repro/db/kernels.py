@@ -75,6 +75,7 @@ import numpy as np
 from repro.db.expressions import (
     ARITH_OPS,
     CMP_OPS,
+    FLIPPED_OPS,
     Arithmetic,
     Between,
     BoolOp,
@@ -696,7 +697,7 @@ def _build_compiled(expr: Expr) -> CompiledExpr:
             return _literal_comparison(left, expr.op, expr.right.value,
                                        compare)
         if _is_string_literal(expr.left):
-            return _literal_comparison(right, _FLIPPED[expr.op],
+            return _literal_comparison(right, FLIPPED_OPS[expr.op],
                                        expr.left.value, compare)
         return compare
     if isinstance(expr, BoolOp):
@@ -763,10 +764,6 @@ def _like_rows(strings, pattern) -> np.ndarray:
 
 def _is_string_literal(expr: Expr) -> bool:
     return isinstance(expr, Literal) and isinstance(expr.value, str)
-
-
-#: ``a OP b`` holds exactly where ``b FLIPPED[OP] a`` does.
-_FLIPPED = {"=": "=", "<>": "<>", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
 
 def _literal_comparison(column: CompiledExpr, op: str, value: str,

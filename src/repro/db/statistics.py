@@ -22,6 +22,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro.db.expressions import (
+    FLIPPED_OPS,
     Between,
     BoolOp,
     ColumnRef,
@@ -337,12 +338,10 @@ def join_signature(tables) -> Tuple:
 def _column_and_literal(expr: Comparison):
     """``(column_name, literal_value, op)`` for col-vs-literal shapes,
     normalising ``literal <op> column`` to the column-first form."""
-    flipped = {"<": ">", "<=": ">=", ">": "<", ">=": "<=",
-               "=": "=", "<>": "<>"}
     if isinstance(expr.left, ColumnRef) and isinstance(expr.right, Literal):
         return expr.left.name, expr.right.value, expr.op
     if isinstance(expr.right, ColumnRef) and isinstance(expr.left, Literal):
-        return expr.right.name, expr.left.value, flipped[expr.op]
+        return expr.right.name, expr.left.value, FLIPPED_OPS[expr.op]
     return None
 
 

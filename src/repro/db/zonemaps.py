@@ -24,6 +24,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.db.expressions import (
+    FLIPPED_OPS,
     Between,
     ColumnRef,
     Comparison,
@@ -38,16 +39,13 @@ PRUNE_NONE = 0
 PRUNE_SOME = 1
 PRUNE_ALL = 2
 
-#: Comparison flips for ``literal OP column`` rewritten as ``column OP'``.
-_FLIP = {"=": "=", "<>": "<>", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
-
 
 def _column_literal(expr: Comparison) -> Optional[Tuple[str, str, object]]:
     """Normalise a comparison to ``(column, op, literal_value)``."""
     if isinstance(expr.left, ColumnRef) and isinstance(expr.right, Literal):
         return expr.left.name, expr.op, expr.right.value
     if isinstance(expr.left, Literal) and isinstance(expr.right, ColumnRef):
-        return expr.right.name, _FLIP[expr.op], expr.left.value
+        return expr.right.name, FLIPPED_OPS[expr.op], expr.left.value
     return None
 
 
