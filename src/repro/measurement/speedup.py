@@ -69,14 +69,12 @@ def _estimator(protocol: Union[PickRule, str]) -> PickRule:
 
 def _estimate(values: Sequence[float], pick: PickRule) -> float:
     arr = _as_sample(values, "protocol_estimate")
-    if pick is PickRule.MIN:
-        return float(arr.min())
-    return float(np.sort(arr)[arr.size // 2]
-                 if arr.size % 2 else np.median(arr))
+    return float(_estimate_rows(arr[None, :], pick)[0])
 
 
 def _estimate_rows(samples: np.ndarray, pick: PickRule) -> np.ndarray:
-    """:func:`_estimate` of each row of a ``(k, n)`` sample matrix."""
+    """The estimate of each row of a ``(k, n)`` sample matrix: the
+    minimum, or the median (the middle order statistic for odd *n*)."""
     if pick is PickRule.MIN:
         return samples.min(axis=1)
     middle = samples.shape[1] // 2
