@@ -55,24 +55,37 @@ LITERALS = ["alpha", "bravo", "charlie", "delta", "hotel", "zulu"]
 OPS = ["=", "<>", "<", "<=", ">", ">="]
 
 
+@pytest.fixture(params=[True, False], ids=["zone_maps", "no_zone_maps"])
+def zone_maps(request):
+    """``t`` is one zone-map block, so zone maps settle a literal below
+    its minimum or above its maximum before the predicate runs; without
+    them every case reaches the coded column."""
+    return request.param
+
+
 class TestComparisons:
     @pytest.mark.parametrize("literal", LITERALS)
     @pytest.mark.parametrize("op", OPS)
-    def test_column_against_literal(self, op, literal):
-        check(_db(), f"SELECT id FROM t WHERE s {op} '{literal}'")
+    def test_column_against_literal(self, op, literal, zone_maps):
+        check(_db(), f"SELECT id FROM t WHERE s {op} '{literal}'",
+              zone_maps=zone_maps)
 
     @pytest.mark.parametrize("literal", ["alpha", "charlie", "delta"])
     @pytest.mark.parametrize("op", OPS)
-    def test_literal_on_the_left(self, op, literal):
-        check(_db(), f"SELECT id FROM t WHERE '{literal}' {op} s")
+    def test_literal_on_the_left(self, op, literal, zone_maps):
+        check(_db(), f"SELECT id FROM t WHERE '{literal}' {op} s",
+              zone_maps=zone_maps)
 
     @pytest.mark.parametrize("op", OPS)
-    def test_negated(self, op):
-        check(_db(), f"SELECT id FROM t WHERE NOT (s {op} 'charlie')")
+    def test_negated(self, op, zone_maps):
+        check(_db(), f"SELECT id FROM t WHERE NOT (s {op} 'charlie')",
+              zone_maps=zone_maps)
 
-    def test_missing_literal(self):
-        assert check(_db(), "SELECT id FROM t WHERE s = 'charlie'") == ()
-        rows = check(_db(), "SELECT id FROM t WHERE s <> 'charlie'")
+    def test_missing_literal(self, zone_maps):
+        assert check(_db(), "SELECT id FROM t WHERE s = 'charlie'",
+                     zone_maps=zone_maps) == ()
+        rows = check(_db(), "SELECT id FROM t WHERE s <> 'charlie'",
+                     zone_maps=zone_maps)
         assert len(rows) == len(WORDS)
 
     @pytest.mark.parametrize("op", OPS)
@@ -93,9 +106,11 @@ class TestInList:
         "'charlie', 'zulu'",              # every member missing
         "'bravo', 'hotel'",
     ])
-    def test_in_and_not_in(self, members):
-        check(_db(), f"SELECT id FROM t WHERE s IN ({members})")
-        check(_db(), f"SELECT id FROM t WHERE NOT (s IN ({members}))")
+    def test_in_and_not_in(self, members, zone_maps):
+        check(_db(), f"SELECT id FROM t WHERE s IN ({members})",
+              zone_maps=zone_maps)
+        check(_db(), f"SELECT id FROM t WHERE NOT (s IN ({members}))",
+              zone_maps=zone_maps)
 
 
 class TestLike:
@@ -123,10 +138,12 @@ class TestBetween:
                                            ("alpha", "bravo"),
                                            ("delta", "delta"),
                                            ("india", "zulu")])
-    def test_between_and_not_between(self, low, high):
-        check(_db(), f"SELECT id FROM t WHERE s BETWEEN '{low}' AND '{high}'")
+    def test_between_and_not_between(self, low, high, zone_maps):
+        check(_db(), f"SELECT id FROM t WHERE s BETWEEN '{low}' AND '{high}'",
+              zone_maps=zone_maps)
         check(_db(), "SELECT id FROM t "
-                     f"WHERE NOT (s BETWEEN '{low}' AND '{high}')")
+                     f"WHERE NOT (s BETWEEN '{low}' AND '{high}')",
+              zone_maps=zone_maps)
 
 
 class TestJoins:
