@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import multiprocessing
 import os
 from dataclasses import dataclass
 from typing import (
@@ -51,18 +50,14 @@ from typing import (
 from repro.db import Engine, EngineConfig
 from repro.errors import ServeError
 from repro.faults import FaultPlan
-from repro.measurement.results import ResultSet
 from repro.measurement.retry import RetryPolicy
-from repro.parallel.executor import DEFAULT_START_METHOD
+from repro.parallel.executor import pool_map
 from repro.parallel.spec import derive_point_seed
-from repro.repeat.properties import Properties
-from repro.repeat.suite import ExperimentSuite
 from repro.serve import (
     AdmissionConfig,
     BreakerConfig,
     ServeConfig,
     ServingSimulation,
-    make_traffic,
 )
 from repro.serve.traffic import OpenLoopTraffic
 from repro.viz.charts import ChartSpec, Series, line_chart
@@ -337,20 +332,6 @@ class E24Result:
             lines.append(f"saturation knee ({policy}): {knee_str}")
         return "\n".join(lines)
 
-    def to_results(self) -> ResultSet:
-        """The grid as a :class:`ResultSet` for ``repro.repeat``."""
-        results = ResultSet(name="e24")
-        for cell in self.cells:
-            results.add(
-                {"load": cell.load, "policy": cell.policy,
-                 "faults": cell.faults, "verdict": cell.verdict},
-                {"offered_per_s": cell.offered_per_s,
-                 "throughput_per_s": cell.throughput_per_s,
-                 "goodput_per_s": cell.goodput_per_s,
-                 "p50_ms": cell.p50_ms, "p99_ms": cell.p99_ms,
-                 "queue_p99_ms": cell.queue_p99_ms})
-        return results
-
     def to_artifact(self) -> Dict[str, Any]:
         return {
             "experiment": "e24",
@@ -379,7 +360,8 @@ def run_e24(seed: int = 7, jobs: int = 1,
             queue_limit: int = DEFAULT_QUEUE_LIMIT) -> E24Result:
     """Run the load x policy x faults grid.
 
-    ``jobs > 1`` fans cells out over a fork pool; every cell is a pure
+    ``jobs > 1`` fans cells out over
+    :func:`~repro.parallel.executor.pool_map`'s pool; every cell is a pure
     function of ``(seed, cell index, grid parameters)``, merged back in
     index order, so the result is byte-identical for every ``jobs``
     value.
@@ -397,13 +379,7 @@ def run_e24(seed: int = 7, jobs: int = 1,
             "duration_s": duration_s, "queue_limit": queue_limit,
             "service_s": service_s, "capacity_per_s": capacity,
         })
-    if jobs == 1 or len(payloads) <= 1:
-        cells = [_run_cell(payload) for payload in payloads]
-    else:
-        context = multiprocessing.get_context(DEFAULT_START_METHOD)
-        with context.Pool(processes=min(jobs, len(payloads))) as pool:
-            cells = pool.map(_run_cell, payloads)
-    cells.sort(key=lambda cell: cell.index)
+    cells = pool_map(_run_cell, payloads, jobs)
     return E24Result(
         seed=seed, service_ms=service_s * 1000.0,
         capacity_per_s=capacity, workers=workers,
@@ -487,67 +463,4 @@ def export_artifacts(result: E24Result, outdir: str) -> List[str]:
         json.dump(curves, handle, indent=2)
     paths.append(curves_path)
     return paths
-
-
-# ---------------------------------------------------------------------------
-# repro.repeat entry point: PYTHONPATH=src python -m repro.repeat.run \
-#     repro.experiments.e24_serving [--clients N] [--arrival-rate R]
-# ---------------------------------------------------------------------------
-
-def _single_run(properties: Properties) -> ResultSet:
-    """One serving run from CLI knobs, via the fail-fast traffic check."""
-    clients = properties.get_int("clients", 0) or None
-    arrival = properties.get_float("arrival_rate", 0.0) or None
-    think = properties.get_float("think_time", 0.0) or None
-    loop = properties.get("loop", "")
-    if not loop:
-        loop = "open" if arrival is not None else "closed"
-    duration = properties.get_float("duration", 1.0)
-    seed = properties.get_int("seed", 7)
-    traffic = make_traffic(loop, duration_s=duration, seed=seed,
-                           clients=clients, arrival_rate=arrival,
-                           think_time_s=think)
-    service_s, capacity = calibrate()
-    policy = properties.get("policy", "reject")
-    injector = make_injector(properties.get("faults", "none"), seed)
-    engine, sql = _build_engine(DEFAULT_ROWS, faults=injector)
-    config = make_cell_config(policy, service_s)
-    report = ServingSimulation(engine, [sql], traffic, config,
-                               faults=injector, name="serve-cli").run()
-    results = ResultSet(name="e24-serve")
-    results.add(
-        {"load": round(report.offered_rate_per_s / capacity, 4),
-         "loop": loop, "policy": policy, "verdict": report.verdict()},
-        {"offered_per_s": report.offered_rate_per_s,
-         "throughput_per_s": report.throughput_per_s,
-         "goodput_per_s": report.goodput_per_s,
-         "p50_ms": 0.0 if report.latency is None
-         else report.latency.p50 * 1000.0,
-         "p99_ms": 0.0 if report.latency is None
-         else report.latency.p99 * 1000.0,
-         "queue_p99_ms": 0.0 if report.queue_wait is None
-         else report.queue_wait[99.0] * 1000.0})
-    return results
-
-
-def _experiment(properties: Properties) -> ResultSet:
-    if (properties.get("clients", "") or properties.get("arrival_rate", "")
-            or properties.get("loop", "")):
-        return _single_run(properties)
-    jobs = properties.get_int("jobs", 1)
-    duration = properties.get_float("duration", DEFAULT_DURATION_S)
-    seed = properties.get_int("seed", 7)
-    result = run_e24(seed=seed, jobs=jobs, duration_s=duration)
-    check_charts(result)
-    return result.to_results()
-
-
-def build_suite(root: str = "suite_e24") -> ExperimentSuite:
-    """The one-command suite wrapper around the serving grid."""
-    suite = ExperimentSuite(root, name="e24")
-    suite.add("e24-serving", _experiment,
-              description="throughput/tail-latency vs offered load "
-                          "under admission policies and fault bursts",
-              expected_minutes=2.0, plot_x="load", plot_y="p99_ms")
-    return suite
 

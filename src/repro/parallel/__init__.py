@@ -15,7 +15,9 @@ Entry points:
 - :func:`run_campaign` — the parallel twin of
   :func:`~repro.measurement.harness.run_harness`; both measure each
   point with :func:`~repro.measurement.harness.measure_point`;
-- ``python -m repro.repeat.run <suite> --jobs N`` — suite-level wiring.
+- :func:`~repro.parallel.executor.pool_map` — the one worker pool,
+  which ``run_campaign`` deals its shards to and E24 maps its serving
+  cells over.
 """
 
 from repro.parallel.executor import (

@@ -30,8 +30,8 @@ naming the *lowest-index* failed point (deterministic regardless of
 which shard hit its failure first).  With a ``checkpoint`` path each
 shard journals completed points to ``<path>.shard<k>`` as it goes; on
 resume the union of the main journal and every shard journal is
-replayed, so a campaign interrupted at ``--jobs 4`` resumes cleanly at
-``--jobs 2`` (or sequentially).  A campaign that completes folds all
+replayed, so a campaign interrupted at ``jobs=4`` resumes cleanly at
+``jobs=2`` (or sequentially).  A campaign that completes folds all
 shard journals into the main path and removes them.
 """
 
@@ -41,7 +41,7 @@ import multiprocessing
 import os
 from contextlib import ExitStack
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import MeasurementError, ParallelError
 from repro.measurement.checkpoint import CheckpointEntry, CheckpointJournal
@@ -65,11 +65,28 @@ DEFAULT_START_METHOD = "fork" \
 
 
 def default_jobs() -> int:
-    """A sensible ``--jobs`` default: the usable CPU count."""
+    """A sensible ``jobs`` default: the usable CPU count."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # pragma: no cover - non-POSIX fallback
         return os.cpu_count() or 1
+
+
+def pool_map(function: Callable[[Any], Any], payloads: Sequence[Any],
+             jobs: int) -> List[Any]:
+    """``[function(p) for p in payloads]`` over up to *jobs* workers.
+
+    One worker, or at most one payload, runs inline in this process;
+    otherwise a :data:`DEFAULT_START_METHOD` pool maps *function* over
+    the payloads.  Results come back in payload order either way, so a
+    caller whose *function* is pure gets the same list for every
+    ``jobs`` value.
+    """
+    if jobs == 1 or len(payloads) <= 1:
+        return [function(payload) for payload in payloads]
+    context = multiprocessing.get_context(DEFAULT_START_METHOD)
+    with context.Pool(processes=min(jobs, len(payloads))) as pool:
+        return pool.map(function, payloads)
 
 
 def shard_points(indices: Sequence[int], jobs: int) -> List[Tuple[int, ...]]:
@@ -234,8 +251,7 @@ def _consolidate(checkpoint: "str | Path",
 def run_campaign(spec: CampaignSpec, jobs: int = 1, *,
                  on_error: str = "raise",
                  checkpoint: "str | Path | None" = None,
-                 trace: bool = False,
-                 start_method: Optional[str] = None) -> ParallelReport:
+                 trace: bool = False) -> ParallelReport:
     """Execute a campaign spec across *jobs* worker processes.
 
     Parameters mirror :func:`~repro.measurement.harness.run_harness`
@@ -269,13 +285,7 @@ def run_campaign(spec: CampaignSpec, jobs: int = 1, *,
          if checkpoint is not None else None,
          on_error)
         for k, shard in enumerate(shards)]
-    if jobs == 1 or len(payloads) <= 1:
-        shard_results = [_run_shard(payload) for payload in payloads]
-    else:
-        context = multiprocessing.get_context(
-            start_method or DEFAULT_START_METHOD)
-        with context.Pool(processes=len(payloads)) as pool:
-            shard_results = pool.map(_run_shard, payloads)
+    shard_results = pool_map(_run_shard, payloads, jobs)
     outcomes: List[PointOutcome] = [
         outcome_from_entry(entry) for entry in resumed_entries.values()]
     for shard_outcomes in shard_results:
