@@ -95,7 +95,8 @@ def main(argv):
         requirements=["python >= 3.9", "numpy", "scipy",
                       "repro (pip install -e .)"],
         install_command="pip install -e .",
-        data_preparation="none: all data is generated from fixed seeds"))
+        data_preparation="none: all data is generated from fixed seeds",
+        run_command="python examples/repeatable_package.py"))
     print(f"  manifest     -> {manifest}")
 
     record = archive_results(root)

@@ -21,15 +21,15 @@ from repro.repeat.suite import ExperimentSuite
 class InstallInfo:
     """The suite-wide installation section of the manifest.
 
-    ``suite_module`` is the dotted module path exposing the suite (its
-    ``SUITE`` attribute or ``build_suite()`` factory) so the generated
-    run commands work verbatim with ``python -m repro.repeat.run``.
+    ``run_command`` is the command that runs the study, such as
+    ``python examples/repeatable_package.py``; every experiment's run
+    line quotes it verbatim.
     """
 
     requirements: Sequence[str]
     install_command: str
     data_preparation: str = ""
-    suite_module: str = ""
+    run_command: str = ""
 
     def __post_init__(self):
         if not self.install_command:
@@ -58,7 +58,7 @@ def render_manifest(suite: ExperimentSuite, install: InstallInfo) -> str:
         f"{suite.total_expected_minutes():.0f} minute(s).",
         "",
     ]
-    module = install.suite_module or "<your.suite.module>"
+    command = install.run_command or "<the command that runs the study>"
     for name in suite.experiment_names:
         experiment = suite.experiment(name)
         lines += [
@@ -66,7 +66,7 @@ def render_manifest(suite: ExperimentSuite, install: InstallInfo) -> str:
             "",
             experiment.description or "(no description)",
             "",
-            f"- run: `python -m repro.repeat.run {module} {name}`",
+            f"- run: `{command}`",
             f"- results: `res/{name}.csv`",
         ]
         if experiment.plot_x and experiment.plot_y:

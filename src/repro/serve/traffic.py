@@ -144,9 +144,9 @@ def make_traffic(loop: str, duration_s: float, seed: int = 0,
                  ) -> "OpenLoopTraffic | ClosedLoopTraffic":
     """Build a traffic generator, rejecting nonsensical combinations.
 
-    This is the fail-fast surface behind ``repro.repeat.run --clients N
-    --arrival-rate R``: a closed loop with an arrival rate, or an open
-    loop with a think time, is refused with a diagnostic naming the
+    This is the fail-fast surface for traffic specs a user supplies as
+    loose knobs: a closed loop with an arrival rate, or an open loop
+    with a think time, is refused with a diagnostic naming the
     contradiction rather than silently ignoring one of the knobs.
     """
     if loop == OPEN_LOOP:

@@ -147,14 +147,6 @@ class TestReporting:
         assert "saturation knee" in text
         assert "capacity" in text
 
-    def test_to_results_schema(self, result):
-        results = result.to_results()
-        assert len(results) == len(result.cells)
-        assert set(results.factor_names) == \
-            {"load", "policy", "faults", "verdict"}
-        assert "p99_ms" in results.metric_names
-        assert "goodput_per_s" in results.metric_names
-
     def test_charts_pass_the_guideline_linter(self, result):
         findings = lint_charts(result)
         assert [f for f in findings if f.severity == "error"] == []

@@ -178,12 +178,12 @@ class TestManifest:
         install = InstallInfo(requirements=["python >= 3.9", "numpy"],
                               install_command="pip install -e .",
                               data_preparation="python examples/gen.py",
-                              suite_module="mypkg.study")
+                              run_command="python study.py")
         text = render_manifest(suite, install)
         assert "## Installation" in text
         assert "pip install -e ." in text
         assert "python examples/gen.py" in text
-        assert "python -m repro.repeat.run mypkg.study scaling" in text
+        assert "- run: `python study.py`" in text
         assert "### scaling" in text
         assert "res/scaling.csv" in text
         assert "graphs/scaling.gnu" in text
