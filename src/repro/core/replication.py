@@ -27,7 +27,7 @@ def _refuse_failed_points(matrix: np.ndarray, where: str) -> None:
     """Refuse NaN cells — failed runs must be handled, not averaged.
 
     A resilient harness records failed design points explicitly
-    (:class:`repro.measurement.harness.FailedPoint`); feeding their
+    (:class:`repro.measurement.checkpoint.PointOutcome`); feeding their
     placeholder NaNs into an error-variance estimate would silently
     poison every interval.  The fix is the caller's call: re-run the
     failed points, raise the retry budget, or analyse an explicitly

@@ -17,7 +17,8 @@ est-vs-actual report:
   live plan objects.
 
 Everything is stamped from the virtual clock, so the rendering is
-byte-identical across repeated seeded runs and across ``--jobs`` levels.
+byte-identical across repeated seeded runs and across the ``jobs``
+values of :func:`~repro.parallel.run_campaign`.
 """
 
 from __future__ import annotations

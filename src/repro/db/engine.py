@@ -350,7 +350,7 @@ class Engine:
         The statement may carry an ``EXPLAIN ANALYZE`` prefix or not.
         All numbers come off the virtual clock and the executed plan,
         so the output is byte-identical across repeated seeded runs and
-        across ``--jobs`` levels.
+        across the ``jobs`` values of :func:`~repro.parallel.run_campaign`.
         """
         __, sql = strip_explain(sql)
         self.execute(sql)

@@ -126,7 +126,22 @@ def _referenced_columns(statement: SelectStatement) -> Set[str]:
     if statement.where is not None:
         columns |= statement.where.columns()
     columns |= set(statement.group_by)
+    if not _reshapes_rows(statement):
+        columns |= set(_unnamed_order_keys(statement))
     return columns
+
+
+def _reshapes_rows(statement: SelectStatement) -> bool:
+    """Whether the output rows are not the input rows one for one."""
+    return bool(statement.has_aggregates or statement.group_by
+                or statement.distinct)
+
+
+def _unnamed_order_keys(statement: SelectStatement) -> List[str]:
+    """The ORDER BY keys that name no output column."""
+    outputs = {item.alias for item in statement.items}
+    return [column for column, __ in statement.order_by
+            if column not in outputs]
 
 
 def _resolve_join(database: Database, join, available: Sequence[str]
@@ -275,12 +290,39 @@ def _plan_heuristic(statement: SelectStatement, database: Database,
 
     if residual:
         plan = Filter(plan, conjoin(residual))
+    return _plan_tail(statement, plan)
 
-    plan = _plan_output(statement, plan)
 
+def _plan_tail(statement: SelectStatement, plan: PlanNode) -> PlanNode:
+    """The output stage both planners end with: aggregation and
+    projection, then DISTINCT, ORDER BY and LIMIT.
+
+    The Sort goes above the output Project unless an ORDER BY key names
+    no output column.  Then, if the output rows are the input rows, it
+    sorts the Project's input, where a key that names an output must
+    alias a bare column and sorts by that column.
+    """
+    unnamed = _unnamed_order_keys(statement)
+    if unnamed and not _reshapes_rows(statement):
+        sources = {item.alias: item.expr for item in statement.items}
+        keys = []
+        for column, ascending in statement.order_by:
+            source = sources.get(column, ColumnRef(column))
+            if not isinstance(source, ColumnRef):
+                raise PlanError(
+                    f"ORDER BY {column!r} names a computed output, which "
+                    f"cannot sort next to {unnamed[0]!r}, a column the "
+                    "output does not name")
+            keys.append((source.name, ascending))
+        plan = Sort(plan, keys)
+    plan = _plan_output(statement, plan)  # refuses unnamed keys if grouped
     if statement.distinct:
+        if unnamed:
+            raise PlanError(
+                f"ORDER BY column {unnamed[0]!r} is not in the output of "
+                "a SELECT DISTINCT")
         plan = Distinct(plan)
-    if statement.order_by:
+    if statement.order_by and not unnamed:
         plan = Sort(plan, statement.order_by)
     if statement.limit is not None:
         plan = Limit(plan, statement.limit)
@@ -856,13 +898,7 @@ def _assemble_cost_plan(statement: SelectStatement, ctx: _CostContext,
 
     # -- output stage, annotated bottom-up --------------------------------
     pipeline_base = plan
-    out = _plan_output(statement, plan)
-    if statement.distinct:
-        out = Distinct(out)
-    if statement.order_by:
-        out = Sort(out, statement.order_by)
-    if statement.limit is not None:
-        out = Limit(out, statement.limit)
+    out = _plan_tail(statement, plan)
 
     chain: List[PlanNode] = []
     node = out

@@ -94,9 +94,9 @@ class ParallelError(MeasurementError):
     unresolvable :class:`~repro.parallel.CampaignSpec` factory,
     non-serialisable campaign parameters, conflicting shard checkpoint
     journals, or a merge that would silently lose design points.  A
-    design point that merely *fails* is not a ParallelError; it becomes
-    a :class:`~repro.measurement.harness.FailedPoint` exactly as in the
-    sequential harness.
+    design point that merely *fails* is not a ParallelError; its failed
+    :class:`~repro.measurement.checkpoint.PointOutcome` joins the
+    report's ``failures`` exactly as in the sequential harness.
     """
 
 

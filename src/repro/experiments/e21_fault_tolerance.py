@@ -7,8 +7,8 @@ factorial campaign over MiniDB runs under injected
 :class:`~repro.errors.ClientDisconnectError` faults (a seeded
 :class:`~repro.faults.FaultPlan`, 20% per run by default) while the
 resilient harness retries transient faults with exponential backoff in
-*simulated* time and records whatever still fails as explicit
-:class:`~repro.measurement.harness.FailedPoint`\\ s — never a silent
+*simulated* time and records whatever still fails as an explicit failed
+:class:`~repro.measurement.checkpoint.PointOutcome` — never a silent
 drop, never an unhandled traceback.
 
 Sweeping the retry budget shows the trade-off: one attempt loses a large

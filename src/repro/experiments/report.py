@@ -16,13 +16,13 @@ E15's gnuplot suite, E22's traces and the JSON artifacts of E24-E27.
 At the default scale factor the report prints the numbers
 EXPERIMENTS.md quotes; a smaller one makes a quick smoke pass.
 
-An argument the command cannot honour (an unknown id, a ``-D`` key
-other than ``sf``, a bad ``sf`` or any other ``-`` option) exits 2
-before anything runs.  An experiment that raises a
-:class:`~repro.errors.ReproError` does not stop the run: its section
-reads ``E24: FAILED (ServeError: ...)``, the same line goes to stderr,
-and the exit code is 1, with a pass/fail summary when more than one
-experiment ran.  Any other exception propagates as a traceback.
+An argument the command cannot honour (an unknown id, an OUT that is
+an experiment id, a ``-D`` key other than ``sf``, a bad ``sf`` or any
+other ``-`` option) exits 2 before anything runs.  An experiment that
+raises a :class:`~repro.errors.ReproError` does not stop the run: its
+section reads ``E24: FAILED (ServeError: ...)``, the same line goes to
+stderr, and the exit code is 1, with a pass/fail summary when more than
+one experiment ran.  Any other exception propagates as a traceback.
 """
 
 from __future__ import annotations
@@ -109,6 +109,9 @@ def _refusal(properties: Properties, rest: Sequence[str]) -> Optional[str]:
         return f"unknown property {keys[0]!r}; the report reads only sf"
     if options:
         return f"unknown option {options[0]!r}"
+    if rest and rest[0] in ids:
+        return (f"OUT {rest[0]!r} names an experiment; give the output "
+                f"directory first, e.g. reproduction_report {rest[0]}")
     if unknown:
         return (f"unknown experiment {unknown[0]!r}; choose from "
                 + " ".join(ids))

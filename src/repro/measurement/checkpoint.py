@@ -8,10 +8,15 @@ one line per *completed* design point (measured or explicitly failed),
 flushed as soon as the point finishes, so an interrupted campaign
 resumes from the last completed point.
 
-Each entry can carry an opaque ``state`` mapping — the
+Each line is a :class:`PointOutcome`, the one record of a design point:
+:func:`~repro.measurement.harness.measure_point` returns it, a
+:func:`~repro.parallel.run_campaign` worker hands it back,
+:attr:`~repro.measurement.harness.HarnessReport.failures` lists the
+failed ones, and a point replayed from a journal is the same kind of
+object as the point measured.  Its ``state`` mapping carries the
 ``state_dict()``s of resumable components such as
 :class:`~repro.faults.FaultInjector` and
-:class:`~repro.measurement.noise.NoiseModel` — so the resumed campaign
+:class:`~repro.measurement.noise.NoiseModel`, so the resumed campaign
 continues the *same* random streams and reproduces the uninterrupted
 campaign byte for byte.
 """
@@ -19,19 +24,35 @@ campaign byte for byte.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Tuple
 
-from repro.errors import MeasurementError
+from repro.errors import MeasurementError, ReproError
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.measurement.protocol import ProtocolResult
+    from repro.obs.span import Span, SpanEvent
 
 #: Journal format version; bumped on incompatible layout changes.
 JOURNAL_VERSION = 1
 
 
 @dataclass(frozen=True)
-class CheckpointEntry:
-    """One completed design point, as journalled."""
+class PointOutcome:
+    """One design point's result: measured, failed, or replayed.
+
+    The fields up to and including ``state`` are the journal line.
+    ``state`` snapshots resumable components, which only a checkpointed
+    run does, so it takes no part in equality; nor do the fields after
+    it, which never reach the journal.  A point replayed from a journal
+    thus equals the point as measured.  ``seed`` is the per-point seed a
+    campaign worker built its stack from, ``raw`` the protocol's full
+    timings, ``spans`` and ``orphan_events`` the point's private trace
+    (point-local ids and timestamps, which the merge re-ids and
+    rebases), ``resumed`` marks a replay, and ``error`` is the exception
+    that stopped a failed point.
+    """
 
     index: int
     config: Mapping[str, Any]
@@ -41,22 +62,37 @@ class CheckpointEntry:
     elapsed_s: float = 0.0
     error_type: str = ""
     error_message: str = ""
-    state: Mapping[str, Any] = field(default_factory=dict)
+    state: Mapping[str, Any] = field(default_factory=dict, compare=False)
+    seed: int = field(default=0, compare=False)
+    raw: Optional[ProtocolResult] = field(default=None, compare=False)
+    spans: Tuple[Span, ...] = field(default=(), compare=False)
+    orphan_events: Tuple[SpanEvent, ...] = field(default=(),
+                                                 compare=False)
+    resumed: bool = field(default=False, compare=False)
+    error: Optional[ReproError] = field(default=None, compare=False,
+                                        repr=False)
 
     STATUSES = ("ok", "failed")
 
     def __post_init__(self):
         if self.status not in self.STATUSES:
             raise MeasurementError(
-                f"bad checkpoint status {self.status!r}; "
+                f"bad point status {self.status!r}; "
                 f"expected one of {list(self.STATUSES)}")
         if self.status == "failed" and not self.error_type:
             raise MeasurementError(
-                "a failed checkpoint entry must name its error type")
+                "a failed point must name its error type")
 
     @property
     def ok(self) -> bool:
         return self.status == "ok"
+
+    def format(self) -> str:
+        """``point 1 {...}: RetryExhaustedError after 3 attempt(s) (...)``."""
+        ending = "ok" if self.ok else self.error_type
+        line = (f"point {self.index} {dict(self.config)}: {ending} "
+                f"after {self.attempts} attempt(s)")
+        return line if self.ok else f"{line} ({self.error_message})"
 
     def to_json(self) -> str:
         payload = {
@@ -78,7 +114,8 @@ class CheckpointEntry:
         return json.dumps(payload)
 
     @classmethod
-    def from_json(cls, line: str) -> "CheckpointEntry":
+    def from_json(cls, line: str) -> "PointOutcome":
+        """The point a journal line records, marked as a replay."""
         try:
             payload = json.loads(line)
         except json.JSONDecodeError as exc:
@@ -99,7 +136,8 @@ class CheckpointEntry:
             elapsed_s=float(payload.get("elapsed_s", 0.0)),
             error_type=str(payload.get("error_type", "")),
             error_message=str(payload.get("error_message", "")),
-            state=dict(payload.get("state", {})))
+            state=dict(payload.get("state", {})),
+            resumed=True)
 
 
 class CheckpointJournal:
@@ -111,8 +149,8 @@ class CheckpointJournal:
 
     def __init__(self, path: "str | Path"):
         self.path = Path(path)
-        self._entries: List[CheckpointEntry] = []
-        self._by_index: Dict[int, CheckpointEntry] = {}
+        self._entries: List[PointOutcome] = []
+        self._by_index: Dict[int, PointOutcome] = {}
         if self.path.exists():
             self._load()
 
@@ -120,7 +158,7 @@ class CheckpointJournal:
         for line in self.path.read_text(encoding="utf-8").splitlines():
             if not line.strip():
                 continue
-            entry = CheckpointEntry.from_json(line)
+            entry = PointOutcome.from_json(line)
             if entry.index in self._by_index:
                 raise MeasurementError(
                     f"checkpoint {self.path} journals design point "
@@ -132,17 +170,19 @@ class CheckpointJournal:
         return len(self._entries)
 
     @property
-    def entries(self) -> List[CheckpointEntry]:
+    def entries(self) -> List[PointOutcome]:
         return list(self._entries)
 
     def lookup(self, index: int,
-               config: Mapping[str, Any]) -> Optional[CheckpointEntry]:
+               config: Mapping[str, Any]) -> Optional[PointOutcome]:
         """The journalled entry for a design point, verified.
 
         Returns ``None`` when the point has not been completed yet, and
         refuses (with a clear diagnostic) a journal whose recorded
         configuration differs from the design's — a checkpoint from a
-        different campaign must never silently contribute points.
+        different campaign must never silently contribute points.  The
+        entry returned carries the design's *config* itself, not its
+        JSON round trip, so the replay equals the measured point.
         """
         entry = self._by_index.get(index)
         if entry is None:
@@ -152,9 +192,9 @@ class CheckpointJournal:
                 f"checkpoint {self.path} was written for a different "
                 f"campaign: design point {index} is {dict(config)!r} "
                 f"here but {dict(entry.config)!r} in the journal")
-        return entry
+        return replace(entry, config=dict(config))
 
-    def append(self, entry: CheckpointEntry) -> None:
+    def append(self, entry: PointOutcome) -> None:
         """Journal one completed point (flushed before returning)."""
         if entry.index in self._by_index:
             raise MeasurementError(

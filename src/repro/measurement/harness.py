@@ -17,7 +17,8 @@ The workload is any object implementing :class:`Workload`'s three hooks
 The harness is *resilient*: with a
 :class:`~repro.measurement.retry.RetryPolicy` transient faults are
 retried with backoff, with ``on_error="record"`` a point that still
-fails becomes an explicit :class:`FailedPoint` in the
+fails becomes an explicit failed
+:class:`~repro.measurement.checkpoint.PointOutcome` in the
 :class:`HarnessReport` instead of aborting the campaign, and with a
 ``checkpoint`` path every completed point is journalled so an
 interrupted campaign resumes from where it stopped
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 import json
 from contextlib import ExitStack
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -37,12 +38,14 @@ from typing import (
     List,
     Mapping,
     Optional,
+    Sequence,
     Tuple,
 )
 
 from repro.errors import MeasurementError, ReproError, RetryExhaustedError
 from repro.core.designs import Design
-from repro.measurement.checkpoint import CheckpointEntry, CheckpointJournal
+from repro.core.factors import DesignPoint
+from repro.measurement.checkpoint import CheckpointJournal, PointOutcome
 from repro.measurement.clocks import Clock, ProcessClock
 from repro.measurement.protocol import (
     PickRule,
@@ -54,7 +57,7 @@ from repro.measurement.results import ResultSet
 from repro.measurement.retry import RetryPolicy
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.obs import Trace, Tracer
+    from repro.obs import Span, Trace, Tracer
 
 
 class Workload:
@@ -114,73 +117,27 @@ def workload_from_callable(fn: Callable[[Mapping[str, Any]], None],
     return _CallableWorkload(fn, make_cold)
 
 
-@dataclass(frozen=True)
-class FailedPoint:
-    """A design point that could not be measured, explicitly recorded.
-
-    The tutorial's "report what went wrong" guideline: a failed point is
-    data, not something to silently drop.  ``attempts`` counts how many
-    times the point was tried (including retries); ``elapsed_s`` is the
-    time spent on it against the harness clock.
-    """
-
-    index: int
-    config: Mapping[str, Any]
-    error_type: str
-    error_message: str
-    attempts: int = 1
-    elapsed_s: float = 0.0
-
-    def format(self) -> str:
-        return (f"point {self.index} {dict(self.config)}: "
-                f"{self.error_type} after {self.attempts} attempt(s) "
-                f"({self.error_message})")
-
-
-@dataclass(frozen=True)
-class PointMeasurement:
-    """What measuring one design point produced.
-
-    Either ``metrics`` and the protocol ``result`` or the ``error``
-    that stopped the point; ``elapsed_s`` is the time the point took
-    against the harness clock in both cases.
-    """
-
-    elapsed_s: float
-    metrics: Optional[Dict[str, float]] = None
-    result: Optional[ProtocolResult] = None
-    error: Optional[ReproError] = None
-
-    @property
-    def attempts(self) -> int:
-        """Protocol executions the point took, retries included."""
-        if self.error is None:
-            return self.result.attempts
-        if isinstance(self.error, RetryExhaustedError):
-            return self.error.attempts
-        return 1
-
-
-def measure_point(workload: Workload, config: Mapping[str, Any],
+def measure_point(workload: Workload, point: DesignPoint,
                   protocol: RunProtocol, *, clock: Optional[Clock],
                   elapsed_clock: Clock, label: str,
                   retry: Optional[RetryPolicy],
                   extra_metrics: Optional[
                       Callable[[Mapping[str, Any]], Mapping[str, float]]]
-                  ) -> PointMeasurement:
-    """Set *workload* up for *config* and measure it under *protocol*.
+                  ) -> PointOutcome:
+    """Set *workload* up for *point* and measure it under *protocol*.
 
     The metrics are ``real_ms``, ``user_ms`` and ``sys_ms`` of the
     protocol's picked run plus ``extra_metrics(config)``, which may not
-    shadow them.  A :class:`~repro.errors.ReproError` is returned in
-    the measurement, not raised; what to do with it is the caller's
-    choice (:func:`run_harness` and
+    shadow them.  A :class:`~repro.errors.ReproError` is returned, not
+    raised, as a failed outcome's ``error``; what to do with it is the
+    caller's choice (:func:`run_harness` and
     :func:`repro.parallel.executor.execute_point` both call this).
+    ``elapsed_s`` is the time the point took against *elapsed_clock*.
     """
     make_cold = workload.make_cold if workload.supports_cold else None
     started = elapsed_clock.sample()
     try:
-        workload.setup(config)
+        workload.setup(point.config)
         result = protocol.execute(workload.run, make_cold=make_cold,
                                   clock=clock, label=label, retry=retry)
         picked = result.picked
@@ -190,18 +147,36 @@ def measure_point(workload: Workload, config: Mapping[str, Any],
             "sys_ms": picked.system_ms(),
         }
         if extra_metrics is not None:
-            extra = dict(extra_metrics(config))
+            extra = dict(extra_metrics(point.config))
             overlap = set(extra) & set(metrics)
             if overlap:
                 raise MeasurementError(
                     f"extra metrics shadow built-ins: {sorted(overlap)}")
             metrics.update(extra)
     except ReproError as exc:
-        return PointMeasurement(
-            elapsed_s=(elapsed_clock.sample() - started).real, error=exc)
-    return PointMeasurement(
-        elapsed_s=(elapsed_clock.sample() - started).real,
-        metrics=metrics, result=result)
+        return PointOutcome(
+            index=point.index, config=dict(point.config), status="failed",
+            attempts=exc.attempts
+            if isinstance(exc, RetryExhaustedError) else 1,
+            elapsed_s=(elapsed_clock.sample() - started).real,
+            error_type=type(exc).__name__, error_message=str(exc),
+            error=exc)
+    return PointOutcome(
+        index=point.index, config=dict(point.config), status="ok",
+        metrics=metrics, attempts=result.attempts,
+        elapsed_s=(elapsed_clock.sample() - started).real, raw=result)
+
+
+def stamp_point_span(span: Optional[Span], outcome: PointOutcome) -> None:
+    """Record how a point ended on its ``harness.point[i]`` span."""
+    if span is None:
+        return
+    if outcome.ok:
+        span.set(status="ok", attempts=outcome.attempts,
+                 real_ms=outcome.metrics["real_ms"])
+    else:
+        span.set(status="failed", error_type=outcome.error_type,
+                 attempts=outcome.attempts)
 
 
 @dataclass(frozen=True)
@@ -212,12 +187,35 @@ class HarnessReport:
     raw: Mapping[int, ProtocolResult]  # design point index -> full timings
     protocol: RunProtocol
     design_description: str
-    failures: Tuple[FailedPoint, ...] = ()
+    #: The failed points, in design order.
+    failures: Tuple[PointOutcome, ...] = ()
     retry: Optional[RetryPolicy] = None
     resumed_points: int = 0
     #: Structured span timeline of the campaign, when it ran under a
     #: :class:`~repro.obs.Tracer` (see :mod:`repro.obs`).
     trace: Optional[Trace] = None
+
+    @classmethod
+    def from_outcomes(cls, outcomes: Sequence[PointOutcome], *, name: str,
+                      **fields: Any) -> "HarnessReport":
+        """The report of a campaign whose points, in design order, came
+        out as *outcomes*; *fields* fill the rest of the report.
+
+        Measured points form the result set ``name`` (and ``raw``, when
+        their timings are at hand), failed ones ``failures``, and
+        replays count towards ``resumed_points``.
+        """
+        results = ResultSet(name=name)
+        raw: Dict[int, ProtocolResult] = {}
+        for outcome in outcomes:
+            if outcome.ok:
+                results.add(outcome.config, outcome.metrics)
+                if outcome.raw is not None:
+                    raw[outcome.index] = outcome.raw
+        return cls(results=results, raw=raw,
+                   failures=tuple(o for o in outcomes if not o.ok),
+                   resumed_points=sum(o.resumed for o in outcomes),
+                   **fields)
 
     @property
     def n_measured(self) -> int:
@@ -356,8 +354,8 @@ def run_harness(design: Design, workload: Workload,
     on_error:
         ``"raise"`` (default) aborts on the first failed point, matching
         the historical behaviour.  ``"record"`` degrades gracefully: the
-        failed point becomes a :class:`FailedPoint` in the report and
-        the campaign continues.
+        failed point joins :attr:`HarnessReport.failures` and the
+        campaign continues.
     checkpoint:
         Optional path of a :class:`~repro.measurement.checkpoint.
         CheckpointJournal`.  Completed points (measured *or* failed) are
@@ -391,10 +389,7 @@ def run_harness(design: Design, workload: Workload,
     if journal is not None and resumables:
         _validate_resumables(resumables)
     elapsed_clock = clock if clock is not None else ProcessClock()
-    results = ResultSet(name=name)
-    raw: Dict[int, ProtocolResult] = {}
-    failures: List[FailedPoint] = []
-    resumed = 0
+    outcomes: List[PointOutcome] = []
     state_restored = False
 
     with ExitStack() as campaign_stack:
@@ -405,26 +400,16 @@ def run_harness(design: Design, workload: Workload,
                 design=design.describe(),
                 protocol=protocol.describe()))
         for point in design.points():
-            entry = journal.lookup(point.index, point.config) \
+            replayed = journal.lookup(point.index, point.config) \
                 if journal is not None else None
-            if entry is not None:
-                # Replay a completed point from the journal.
-                if entry.ok:
-                    results.add(point.config, entry.metrics)
-                else:
-                    failures.append(FailedPoint(
-                        index=point.index, config=dict(point.config),
-                        error_type=entry.error_type,
-                        error_message=entry.error_message,
-                        attempts=entry.attempts,
-                        elapsed_s=entry.elapsed_s))
-                resumed += 1
+            if replayed is not None:
+                outcomes.append(replayed)
                 if tracer is not None:
                     tracer.event("harness.point_resumed",
-                                 index=point.index, status=entry.status)
+                                 index=point.index, status=replayed.status)
                 continue
-            if journal is not None and resumables and resumed \
-                    and not state_restored:
+            # Every point before the first fresh one was replayed.
+            if resumables and outcomes and not state_restored:
                 _restore_states(journal, resumables)
             state_restored = True
 
@@ -434,56 +419,23 @@ def run_harness(design: Design, workload: Workload,
                     point_span = point_stack.enter_context(tracer.span(
                         f"harness.point[{point.index}]", "harness",
                         index=point.index, config=dict(point.config)))
-                measured = measure_point(
-                    workload, point.config, protocol, clock=clock,
+                outcome = measure_point(
+                    workload, point, protocol, clock=clock,
                     elapsed_clock=elapsed_clock, label=name, retry=retry,
                     extra_metrics=extra_metrics)
-                error = measured.error
-                if error is not None:
-                    if on_error == "raise":
-                        raise error
-                    failed = FailedPoint(
-                        index=point.index, config=dict(point.config),
-                        error_type=type(error).__name__,
-                        error_message=str(error),
-                        attempts=measured.attempts,
-                        elapsed_s=measured.elapsed_s)
-                    failures.append(failed)
-                    if point_span is not None:
-                        point_span.set(status="failed",
-                                       error_type=failed.error_type,
-                                       attempts=failed.attempts)
-                    if journal is not None:
-                        journal.append(CheckpointEntry(
-                            index=point.index,
-                            config=dict(point.config),
-                            status="failed", attempts=failed.attempts,
-                            elapsed_s=failed.elapsed_s,
-                            error_type=failed.error_type,
-                            error_message=failed.error_message,
-                            state=_capture_states(resumables)))
-                    continue
-                metrics = measured.metrics
-                results.add(point.config, metrics)
-                raw[point.index] = measured.result
-                if point_span is not None:
-                    point_span.set(status="ok",
-                                   attempts=measured.attempts,
-                                   real_ms=metrics["real_ms"])
+                if outcome.error is not None and on_error == "raise":
+                    raise outcome.error
+                stamp_point_span(point_span, outcome)
                 if journal is not None:
-                    journal.append(CheckpointEntry(
-                        index=point.index, config=dict(point.config),
-                        status="ok", metrics=metrics,
-                        attempts=measured.attempts,
-                        elapsed_s=measured.elapsed_s,
-                        state=_capture_states(resumables)))
+                    outcome = replace(outcome,
+                                      state=_capture_states(resumables))
+                    journal.append(outcome)
+                outcomes.append(outcome)
 
-    return HarnessReport(results=results, raw=raw, protocol=protocol,
-                         design_description=design.describe(),
-                         failures=tuple(failures), retry=retry,
-                         resumed_points=resumed,
-                         trace=tracer.trace() if tracer is not None
-                         else None)
+    return HarnessReport.from_outcomes(
+        outcomes, name=name, protocol=protocol,
+        design_description=design.describe(), retry=retry,
+        trace=tracer.trace() if tracer is not None else None)
 
 
 def _validate_resumables(resumables: Mapping[str, Any]) -> None:

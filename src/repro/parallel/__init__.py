@@ -27,13 +27,11 @@ from repro.parallel.executor import (
     run_campaign,
     shard_points,
 )
+from repro.measurement.checkpoint import PointOutcome
 from repro.parallel.merge import (
     ParallelReport,
-    PointOutcome,
     ShardSummary,
-    entry_from_outcome,
     merge_outcomes,
-    outcome_from_entry,
     stitch_traces,
 )
 from repro.parallel.spec import (
@@ -53,10 +51,8 @@ __all__ = [
     "ShardSummary",
     "default_jobs",
     "derive_point_seed",
-    "entry_from_outcome",
     "execute_point",
     "merge_outcomes",
-    "outcome_from_entry",
     "run_campaign",
     "shard_points",
     "stitch_traces",

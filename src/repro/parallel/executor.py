@@ -22,9 +22,9 @@ only through :attr:`~repro.parallel.merge.ParallelReport.shards`,
 
 Resilience surface
 ------------------
-``on_error="record"`` turns still-failing points into
-:class:`~repro.measurement.harness.FailedPoint`\\ s exactly like the
-sequential harness; ``"raise"`` makes each shard stop at its first
+``on_error="record"`` lists still-failing points' outcomes in
+:attr:`~repro.measurement.harness.HarnessReport.failures` exactly like
+the sequential harness; ``"raise"`` makes each shard stop at its first
 failure and the campaign raise a :class:`~repro.errors.ParallelError`
 naming the *lowest-index* failed point (deterministic regardless of
 which shard hit its failure first).  With a ``checkpoint`` path each
@@ -40,20 +40,15 @@ from __future__ import annotations
 import multiprocessing
 import os
 from contextlib import ExitStack
+from dataclasses import replace
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import MeasurementError, ParallelError
-from repro.measurement.checkpoint import CheckpointEntry, CheckpointJournal
-from repro.measurement.harness import measure_point
+from repro.measurement.checkpoint import CheckpointJournal, PointOutcome
+from repro.measurement.harness import measure_point, stamp_point_span
 from repro.obs import Tracer
-from repro.parallel.merge import (
-    ParallelReport,
-    PointOutcome,
-    entry_from_outcome,
-    merge_outcomes,
-    outcome_from_entry,
-)
+from repro.parallel.merge import ParallelReport, merge_outcomes
 from repro.parallel.spec import CampaignSpec
 
 #: Worker start method: ``fork`` shares the parent's imports (cheap,
@@ -129,35 +124,18 @@ def execute_point(spec: CampaignSpec, index: int,
             point_span = point_stack.enter_context(tracer.span(
                 f"harness.point[{index}]", "harness", index=index,
                 config=dict(point.config), seed=seed))
-        measured = measure_point(
-            stack.workload, point.config, stack.protocol,
+        outcome = measure_point(
+            stack.workload, point, stack.protocol,
             clock=stack.clock, elapsed_clock=stack.clock, label=spec.name,
             retry=stack.retry, extra_metrics=stack.extra_metrics)
-        error = measured.error
-        if error is not None:
-            if point_span is not None:
-                point_span.set(status="failed",
-                               error_type=type(error).__name__,
-                               attempts=measured.attempts)
-            outcome = PointOutcome(
-                index=index, config=dict(point.config),
-                status="failed", attempts=measured.attempts,
-                elapsed_s=measured.elapsed_s,
-                error_type=type(error).__name__, error_message=str(error),
-                seed=seed)
-        else:
-            if point_span is not None:
-                point_span.set(status="ok", attempts=measured.attempts,
-                               real_ms=measured.metrics["real_ms"])
-            outcome = PointOutcome(
-                index=index, config=dict(point.config), status="ok",
-                metrics=measured.metrics, attempts=measured.attempts,
-                elapsed_s=measured.elapsed_s, seed=seed,
-                raw=measured.result)
+        stamp_point_span(point_span, outcome)
+    # The exception stays here: the record names it, and it need not
+    # survive the pickle back to the parent process.
+    outcome = replace(outcome, seed=seed, error=None)
     if tracer is not None:
         finished = tracer.trace()
-        outcome.spans = finished.spans
-        outcome.orphan_events = finished.orphan_events
+        outcome = replace(outcome, spans=finished.spans,
+                          orphan_events=finished.orphan_events)
     return outcome
 
 
@@ -183,7 +161,9 @@ def _run_shard(payload: Tuple[CampaignSpec, Tuple[int, ...], bool,
         outcome = execute_point(spec, index, trace=trace)
         aborting = on_error == "raise" and not outcome.ok
         if journal is not None and not aborting:
-            journal.append(entry_from_outcome(outcome))
+            # The point's stack comes from its seed alone, so unlike
+            # run_harness's lines this one carries no resumable state.
+            journal.append(outcome)
         outcomes.append(outcome)
         if aborting:
             break
@@ -191,7 +171,7 @@ def _run_shard(payload: Tuple[CampaignSpec, Tuple[int, ...], bool,
 
 
 def _load_resumed(checkpoint: "str | Path", points) \
-        -> Dict[int, CheckpointEntry]:
+        -> Dict[int, PointOutcome]:
     """Union of the main journal and every shard journal, verified.
 
     Entries are validated against the design (index in range, config
@@ -205,7 +185,7 @@ def _load_resumed(checkpoint: "str | Path", points) \
     if main.exists():
         files.append(main)
     files.extend(sorted(main.parent.glob(main.name + ".shard*")))
-    by_index: Dict[int, CheckpointEntry] = {}
+    by_index: Dict[int, PointOutcome] = {}
     points_by_index = {p.index: p for p in points}
     for path in files:
         journal = CheckpointJournal(path)
@@ -217,7 +197,7 @@ def _load_resumed(checkpoint: "str | Path", points) \
                     f"{entry.index}, outside this design "
                     f"({len(points_by_index)} points) — checkpoint "
                     "from a different campaign?")
-            journal.lookup(entry.index, point.config)
+            entry = journal.lookup(entry.index, point.config)
             previous = by_index.get(entry.index)
             if previous is None:
                 by_index[entry.index] = entry
@@ -230,7 +210,7 @@ def _load_resumed(checkpoint: "str | Path", points) \
 
 
 def _consolidate(checkpoint: "str | Path",
-                 entries: Dict[int, CheckpointEntry]) -> None:
+                 outcomes: Sequence[PointOutcome]) -> None:
     """Fold shard journals into the main path (then remove them).
 
     Written atomically (temp file + rename) so an interrupt during
@@ -240,7 +220,8 @@ def _consolidate(checkpoint: "str | Path",
     main = Path(checkpoint)
     main.parent.mkdir(parents=True, exist_ok=True)
     tmp = main.with_name(main.name + ".tmp")
-    lines = [entries[index].to_json() for index in sorted(entries)]
+    lines = [outcome.to_json()
+             for outcome in sorted(outcomes, key=lambda o: o.index)]
     tmp.write_text("".join(line + "\n" for line in lines),
                    encoding="utf-8")
     os.replace(tmp, main)
@@ -272,10 +253,10 @@ def run_campaign(spec: CampaignSpec, jobs: int = 1, *,
     if len(set(indices)) != len(indices):
         raise ParallelError(
             f"design {stack.design.describe()!r} repeats point indices")
-    resumed_entries: Dict[int, CheckpointEntry] = {}
+    resumed: Dict[int, PointOutcome] = {}
     if checkpoint is not None:
-        resumed_entries = _load_resumed(checkpoint, points)
-    pending = [i for i in indices if i not in resumed_entries]
+        resumed = _load_resumed(checkpoint, points)
+    pending = [i for i in indices if i not in resumed]
     shards = shard_points(pending, jobs)
     shard_of = {index: k for k, shard in enumerate(shards)
                 for index in shard}
@@ -286,8 +267,7 @@ def run_campaign(spec: CampaignSpec, jobs: int = 1, *,
          on_error)
         for k, shard in enumerate(shards)]
     shard_results = pool_map(_run_shard, payloads, jobs)
-    outcomes: List[PointOutcome] = [
-        outcome_from_entry(entry) for entry in resumed_entries.values()]
+    outcomes: List[PointOutcome] = list(resumed.values())
     for shard_outcomes in shard_results:
         outcomes.extend(shard_outcomes)
     if on_error == "raise":
@@ -304,18 +284,14 @@ def run_campaign(spec: CampaignSpec, jobs: int = 1, *,
                 f"after {first.attempts} attempt(s): "
                 f"{first.error_type}: {first.error_message} "
                 f"({aborted})")
-    expected: Sequence[int] = indices
-    if checkpoint is not None:
-        completed = dict(resumed_entries)
-        for shard_outcomes in shard_results:
-            for outcome in shard_outcomes:
-                completed[outcome.index] = entry_from_outcome(outcome)
-        if set(completed) == set(indices):
-            _consolidate(checkpoint, completed)
+    # Every outcome here is journalled: an unjournalled failure raised.
+    if checkpoint is not None and \
+            {outcome.index for outcome in outcomes} == set(indices):
+        _consolidate(checkpoint, outcomes)
     return merge_outcomes(
         outcomes, name=spec.name,
         design_description=stack.design.describe(),
         protocol=stack.protocol, retry=stack.retry,
-        expected_indices=expected, jobs=jobs, shard_of=shard_of,
+        expected_indices=indices, jobs=jobs, shard_of=shard_of,
         trace=trace)
 

@@ -1,12 +1,13 @@
 """Merging shard results into one :class:`HarnessReport`.
 
-Workers return :class:`PointOutcome`\\ s — picklable, self-contained
-records of one executed (or journal-replayed) design point, including
-the point's protocol timings and its private trace spans.  The merge
-walks outcomes in **design order** (never arrival order), rebuilds the
-result set, failure list and raw timings exactly as the sequential
-harness would, and stitches the per-point traces onto a single virtual
-campaign timeline.
+Workers return :class:`~repro.measurement.checkpoint.PointOutcome`\\ s
+— the one picklable, self-contained record of an executed (or
+journal-replayed) design point, including the point's protocol timings
+and its private trace spans.  The merge walks outcomes in **design
+order** (never arrival order), builds the report through the same
+:meth:`~repro.measurement.harness.HarnessReport.from_outcomes` the
+sequential harness uses, and stitches the per-point traces onto a
+single virtual campaign timeline.
 
 Trace stitching and determinism
 -------------------------------
@@ -26,51 +27,15 @@ precisely because it depends on ``jobs``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ParallelError
-from repro.measurement.checkpoint import CheckpointEntry
-from repro.measurement.harness import FailedPoint, HarnessReport
-from repro.measurement.protocol import ProtocolResult, RunProtocol
-from repro.measurement.results import ResultSet
+from repro.measurement.checkpoint import PointOutcome
+from repro.measurement.harness import HarnessReport
+from repro.measurement.protocol import RunProtocol
 from repro.measurement.retry import RetryPolicy
 from repro.obs.span import Span, SpanEvent, Trace
-
-
-@dataclass
-class PointOutcome:
-    """One design point's complete result, as produced by a worker.
-
-    Picklable (crosses the process boundary) and journal-convertible
-    (:func:`entry_from_outcome`).  ``spans`` are the point's private
-    trace spans with point-local ids and timestamps; the merge re-ids
-    and rebases them.
-    """
-
-    index: int
-    config: Dict[str, Any]
-    status: str                       # "ok" | "failed"
-    metrics: Dict[str, float] = field(default_factory=dict)
-    attempts: int = 1
-    elapsed_s: float = 0.0
-    error_type: str = ""
-    error_message: str = ""
-    seed: int = 0
-    raw: Optional[ProtocolResult] = None
-    spans: Tuple[Span, ...] = ()
-    orphan_events: Tuple[SpanEvent, ...] = ()
-    resumed: bool = False
-
-    @property
-    def ok(self) -> bool:
-        return self.status == "ok"
-
-    def format(self) -> str:
-        state = "ok" if self.ok else f"failed ({self.error_type})"
-        origin = "journal" if self.resumed else "measured"
-        return (f"point {self.index} {self.config}: {state} "
-                f"[{origin}, {self.attempts} attempt(s)]")
 
 
 @dataclass(frozen=True)
@@ -113,31 +78,6 @@ class ParallelReport(HarnessReport):
             or "no shards executed"
         return (f"{self.documentation()}; executed with jobs={self.jobs} "
                 f"({layout})")
-
-
-def entry_from_outcome(outcome: PointOutcome) -> CheckpointEntry:
-    """The journal line for one freshly measured outcome.
-
-    Per-point stacks are derived purely from seeds, so — unlike the
-    sequential harness — no resumable component state needs to ride
-    along: ``state`` stays empty and resume determinism is free.
-    """
-    return CheckpointEntry(
-        index=outcome.index, config=dict(outcome.config),
-        status=outcome.status, metrics=dict(outcome.metrics),
-        attempts=outcome.attempts, elapsed_s=outcome.elapsed_s,
-        error_type=outcome.error_type,
-        error_message=outcome.error_message)
-
-
-def outcome_from_entry(entry: CheckpointEntry) -> PointOutcome:
-    """A journal-replayed outcome (no raw timings, no spans)."""
-    return PointOutcome(
-        index=entry.index, config=dict(entry.config),
-        status=entry.status, metrics=dict(entry.metrics),
-        attempts=entry.attempts, elapsed_s=entry.elapsed_s,
-        error_type=entry.error_type,
-        error_message=entry.error_message, resumed=True)
 
 
 def stitch_traces(outcomes: Sequence[PointOutcome], *, name: str,
@@ -241,24 +181,6 @@ def merge_outcomes(outcomes: Sequence[PointOutcome], *, name: str,
                 f"missing points {missing}, unexpected points "
                 f"{surplus} — a silent drop")
     ordered = [by_index[i] for i in sorted(by_index)]
-    results = ResultSet(name=name)
-    raw: Dict[int, ProtocolResult] = {}
-    failures: List[FailedPoint] = []
-    resumed = 0
-    for outcome in ordered:
-        if outcome.resumed:
-            resumed += 1
-        if outcome.ok:
-            results.add(outcome.config, outcome.metrics)
-            if outcome.raw is not None:
-                raw[outcome.index] = outcome.raw
-        else:
-            failures.append(FailedPoint(
-                index=outcome.index, config=dict(outcome.config),
-                error_type=outcome.error_type,
-                error_message=outcome.error_message,
-                attempts=outcome.attempts,
-                elapsed_s=outcome.elapsed_s))
     shard_ids = sorted(set(shard_of.values())) if shard_of else []
     summaries = []
     for shard in shard_ids:
@@ -278,9 +200,8 @@ def merge_outcomes(outcomes: Sequence[PointOutcome], *, name: str,
         stitched = stitch_traces(ordered, **stitch_args)
         annotated = stitch_traces(ordered, shard_of=shard_of or {},
                                   jobs=jobs, **stitch_args)
-    return ParallelReport(
-        results=results, raw=raw, protocol=protocol,
-        design_description=design_description,
-        failures=tuple(failures), retry=retry, resumed_points=resumed,
+    return ParallelReport.from_outcomes(
+        ordered, name=name, protocol=protocol,
+        design_description=design_description, retry=retry,
         trace=stitched, jobs=jobs, shards=tuple(summaries),
         sharded_trace=annotated)

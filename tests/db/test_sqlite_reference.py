@@ -15,6 +15,8 @@ from repro.db import (
     Comparison,
     DataType,
     Database,
+    Engine,
+    EngineConfig,
     Expr,
     InList,
     Like,
@@ -26,6 +28,7 @@ from repro.db import (
     results_match,
 )
 from repro.db.systems import SQLiteSystem
+from repro.errors import PlanError
 from tests.db.reference import check
 
 
@@ -272,3 +275,70 @@ class TestDescendingTies:
 
     def test_desc_on_both_keys(self):
         check(self._db(), "SELECT id, g FROM t ORDER BY g DESC, id DESC")
+
+
+def _order_db():
+    db = Database(name="order")
+    db.create_table(Table.from_columns(
+        "t", [("id", DataType.INT64), ("g", DataType.INT64),
+              ("s", DataType.STRING), ("x", DataType.FLOAT64)],
+        {"id": np.arange(8, dtype=np.int64),
+         "g": np.array([2, 1, 3, 1, 2, 3, 1, 2], dtype=np.int64),
+         "s": ["d", "h", "b", "f", "a", "g", "c", "e"],
+         "x": np.array([0.5, 7.0, 2.5, -1.0, 4.0, 3.5, 6.0, 1.5])}))
+    db.create_table(Table.from_columns(
+        "u", [("gid", DataType.INT64), ("label", DataType.STRING)],
+        {"gid": np.array([1, 2, 3], dtype=np.int64),
+         "label": ["one", "two", "three"]}))
+    return db
+
+
+class TestOrderByInputColumn:
+    """ORDER BY may name an input column the SELECT list does not: the
+    Sort then runs below the output Project.  What cannot sort there is
+    refused when planned, not when executed."""
+
+    @pytest.fixture(params=["heuristic", "cost"])
+    def optimizer(self, request):
+        return request.param
+
+    @pytest.mark.parametrize("zone_maps", [True, False],
+                             ids=["zone_maps", "no_zone_maps"])
+    @pytest.mark.parametrize("sql, expected", [
+        ("SELECT id FROM t ORDER BY s DESC LIMIT 5",
+         ((1,), (5,), (3,), (7,), (0,))),
+        ("SELECT id, x FROM t WHERE x > 1 ORDER BY s", None),
+        # ``i`` aliases the bare column id, which the Sort keys on.
+        ("SELECT id AS i FROM t ORDER BY g DESC, i LIMIT 4",
+         ((2,), (5,), (0,), (4,))),
+        # An output alias wins over the input column it shadows.
+        ("SELECT s AS id FROM t ORDER BY g, id",
+         (("c",), ("f",), ("h",), ("a",), ("d",), ("e",), ("b",), ("g",))),
+        ("SELECT id * 2 AS twice FROM t WHERE g >= 2 ORDER BY x DESC",
+         ((8,), (10,), (4,), (14,), (0,))),
+        ("SELECT id, label FROM t JOIN u ON g = gid ORDER BY x LIMIT 3",
+         ((3, "one"), (0, "two"), (7, "two"))),
+    ], ids=["limit", "where", "alias_key", "shadowing_alias", "computed",
+            "join"])
+    def test_matches_sqlite(self, sql, expected, optimizer, zone_maps):
+        rows = check(_order_db(), sql, optimizer=optimizer,
+                     zone_maps=zone_maps)
+        if expected is not None:
+            assert rows == expected
+
+    def test_sorts_below_the_project(self, optimizer):
+        engine = Engine(_order_db(), EngineConfig(optimizer=optimizer))
+        plan = engine.explain("SELECT id FROM t ORDER BY s DESC LIMIT 5")
+        nodes = [line.strip().split("(")[0] for line in plan.splitlines()]
+        assert nodes == ["-> Limit", "-> Project", "-> Sort", "-> SeqScan"]
+
+    @pytest.mark.parametrize("sql, message", [
+        ("SELECT DISTINCT id FROM t ORDER BY s", "SELECT DISTINCT"),
+        ("SELECT g, COUNT(*) AS n FROM t GROUP BY g ORDER BY s",
+         "not in the output"),
+        ("SELECT id + 1 AS j FROM t ORDER BY s, j", "computed output"),
+    ], ids=["distinct", "grouped", "computed_alias"])
+    def test_refused_when_planned(self, sql, message, optimizer):
+        engine = Engine(_order_db(), EngineConfig(optimizer=optimizer))
+        with pytest.raises(PlanError, match=message):
+            engine.explain(sql)

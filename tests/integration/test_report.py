@@ -224,6 +224,13 @@ class TestRefusals:
                                  capsys)
         assert "'E99'" in err and "E01 E02 E03" in err
 
+    def test_out_that_names_an_experiment(self, calls, tmp_path, capsys,
+                                          monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        err = self.check_refused(["E02"], tmp_path / "E02", calls, capsys)
+        assert "'E02' names an experiment" in err
+        assert not (tmp_path / "reproduction_report").exists()
+
     def test_unknown_property(self, calls, tmp_path, capsys):
         out = tmp_path / "r"
         err = self.check_refused([str(out), "-Dseed=3", "-Dsf=0.003"],

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.errors import MeasurementError
-from repro.measurement import CheckpointEntry, CheckpointJournal
+from repro.measurement import CheckpointJournal, PointOutcome
 
 
 def ok_entry(index=0, **overrides):
@@ -14,18 +14,18 @@ def ok_entry(index=0, **overrides):
                   attempts=2, elapsed_s=0.75,
                   state={"faults": {"counts": [3]}})
     fields.update(overrides)
-    return CheckpointEntry(**fields)
+    return PointOutcome(**fields)
 
 
 def failed_entry(index=1):
-    return CheckpointEntry(
+    return PointOutcome(
         index=index, config={"buffer": "small", "mode": "tuple"},
         status="failed", attempts=3, elapsed_s=1.5,
         error_type="RetryExhaustedError",
         error_message="run failed 3 attempt(s)")
 
 
-class TestCheckpointEntry:
+class TestPointOutcome:
     def test_rejects_bad_status(self):
         with pytest.raises(MeasurementError, match="status"):
             ok_entry(status="maybe")
@@ -36,25 +36,63 @@ class TestCheckpointEntry:
 
     def test_json_round_trip_ok(self):
         entry = ok_entry()
-        back = CheckpointEntry.from_json(entry.to_json())
+        back = PointOutcome.from_json(entry.to_json())
         assert back == entry
         assert back.ok
 
     def test_json_round_trip_failed(self):
         entry = failed_entry()
-        back = CheckpointEntry.from_json(entry.to_json())
+        back = PointOutcome.from_json(entry.to_json())
         assert back == entry
         assert not back.ok
 
     def test_corrupt_line_diagnostic(self):
         with pytest.raises(MeasurementError, match="corrupt checkpoint"):
-            CheckpointEntry.from_json("{not json")
+            PointOutcome.from_json("{not json")
 
     def test_version_mismatch_refused(self):
         payload = json.loads(ok_entry().to_json())
         payload["v"] = 999
         with pytest.raises(MeasurementError, match="journal version"):
-            CheckpointEntry.from_json(json.dumps(payload))
+            PointOutcome.from_json(json.dumps(payload))
+
+
+#: Journal lines exactly as the code before the one-record change wrote
+#: them: an ok point with resumable state, and a failed point.
+PARENT_OK_LINE = (
+    '{"v": 1, "index": 3, "config": {"buffer": "small", "tuned": "yes", '
+    '"build": "dbg"}, "status": "ok", "metrics": {"real_ms": 41.25, '
+    '"user_ms": 40.5, "sys_ms": 0.75, "faults_injected": 1.0}, '
+    '"attempts": 2, "elapsed_s": 0.3125, "state": {"faults": {"counts": '
+    '{"client.run": 7}, "n_injected": 1}, "clock": {"cpu_s": 0.5, '
+    '"idle_s": 0.05}}}')
+PARENT_FAILED_LINE = (
+    '{"v": 1, "index": 5, "config": {"buffer": "large", "tuned": "no", '
+    '"build": "opt"}, "status": "failed", "metrics": {}, "attempts": 3, '
+    '"elapsed_s": 0.875, "error_type": "RetryExhaustedError", '
+    '"error_message": "client.run failed after 3 attempt(s): '
+    'ClientDisconnectError"}')
+
+
+class TestParentJournalLines:
+    """Journals written before the one record still resume."""
+
+    def test_ok_line_round_trips_byte_for_byte(self):
+        outcome = PointOutcome.from_json(PARENT_OK_LINE)
+        assert outcome.to_json() == PARENT_OK_LINE
+        assert outcome.ok and outcome.resumed
+        assert list(outcome.metrics) == ["real_ms", "user_ms", "sys_ms",
+                                         "faults_injected"]
+        assert outcome.state["clock"] == {"cpu_s": 0.5, "idle_s": 0.05}
+
+    def test_failed_line_round_trips_byte_for_byte(self):
+        outcome = PointOutcome.from_json(PARENT_FAILED_LINE)
+        assert outcome.to_json() == PARENT_FAILED_LINE
+        assert not outcome.ok and outcome.resumed
+        assert outcome.format() == (
+            "point 5 {'buffer': 'large', 'tuned': 'no', 'build': 'opt'}: "
+            "RetryExhaustedError after 3 attempt(s) (client.run failed "
+            "after 3 attempt(s): ClientDisconnectError)")
 
 
 class TestCheckpointJournal:

@@ -173,6 +173,7 @@ class TestRunCampaignEdgeCases:
                    for f in report.failures)
         solo = run_campaign(spec, jobs=1, on_error="record")
         assert solo.documentation() == report.documentation()
+        assert solo.failures == report.failures
 
     def test_raise_names_the_lowest_failed_index(self):
         spec = spec_for(fail_on=["high-low", "high-high"])
@@ -217,6 +218,29 @@ class TestCheckpointResume:
         replay = run_campaign(fixed, jobs=4, checkpoint=checkpoint)
         assert replay.resumed_points == 4
         assert replay.results.to_csv() == fresh.results.to_csv()
+
+    def test_resumed_failures_equal_a_fresh_run(self, tmp_path):
+        checkpoint = tmp_path / "campaign.journal"
+        failing = index_of(spec_for(), "high-low")
+        # The interrupted run journals high-low's failure, then crashes
+        # at the last point (high-high).
+        broken = spec_for(fail_on=["high-low"], explode_on=["high-high"])
+        with pytest.raises(ValueError):
+            run_campaign(broken, jobs=1, on_error="record",
+                         checkpoint=checkpoint)
+        journalled = CheckpointJournal(
+            tmp_path / "campaign.journal.shard0").entries
+        assert [e.index for e in journalled if not e.ok] == [failing]
+
+        fixed = spec_for(fail_on=["high-low"])
+        resumed = run_campaign(fixed, jobs=2, on_error="record",
+                               checkpoint=checkpoint)
+        fresh = run_campaign(fixed, jobs=1, on_error="record")
+        assert resumed.resumed_points == 3
+        assert [f.index for f in resumed.failures] == [failing]
+        assert resumed.failures[0].resumed
+        assert resumed.failures == fresh.failures
+        assert resumed.results.to_csv() == fresh.results.to_csv()
 
     def test_conflicting_journals_are_refused(self, tmp_path):
         checkpoint = tmp_path / "campaign.journal"
