@@ -1,4 +1,4 @@
-"""Execution context and cost parameters for MiniDB.
+"""Execution context and the price of MiniDB's simulated machine.
 
 MiniDB queries do *real* work (numpy) and simultaneously charge
 *simulated* time to a :class:`~repro.measurement.clocks.VirtualClock`.
@@ -6,19 +6,25 @@ The simulated time is what the tutorial experiments report: it is
 deterministic, calibrated to a 2008-era laptop, and decomposes into user
 (CPU) and system (I/O) shares exactly like the tutorial's tables.
 
-:class:`CostParameters` holds the ns-per-unit constants; the engine's
-*tuned* flag and the DBG/OPT :class:`~repro.hardware.compiler.BuildModel`
-both act through them.
+This module prices that machine.  :class:`CostParameters` holds the
+ns-per-unit constants, :data:`PRICE_TABLE` says which constant each
+named operator charge multiplies under each cost profile, and
+:func:`join_access_ns` prices a hash join's partitioning passes and
+memory accesses for the executor and the planner alike.  The DBG/OPT
+:class:`~repro.hardware.compiler.BuildModel` scales every CPU charge;
+the engine's *tuned* flag acts through the planner options instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
+from repro.db import kernels
 from repro.db.buffer import BufferPool
 from repro.db.storage import Database
 from repro.errors import DatabaseError
+from repro.hardware.cache import DEFAULT_CACHE_MODEL
 from repro.hardware.compiler import BuildMode, BuildModel
 from repro.hardware.counters import HardwareCounters
 from repro.measurement.clocks import VirtualClock
@@ -37,13 +43,13 @@ class CostProfile:
 
     #: The ``executor`` value that selects this profile.
     name: str
-    #: Charge the vectorized kernel constants (a launch cost per
-    #: operator plus the ``vector_*`` per-unit costs) instead of the
-    #: per-row loop constants.
-    kernels: bool = False
+    #: The :data:`PRICE_TABLE` column this profile charges, and its
+    #: EXPLAIN ``kernel=`` label: "loop" (the per-row constants) or
+    #: "vectorized" (the kernel constants plus a launch per kernel).
+    family: str = "loop"
     #: Filters pass on a selection vector and the gather is charged at
-    #: the next pipeline breaker; otherwise a kernel profile charges the
-    #: gather at the filter.
+    #: the next pipeline breaker; otherwise a vectorized profile charges
+    #: the gather at the filter.
     late_materialization: bool = False
     #: Charge the Volcano per-tuple interpretation overhead (MySQL-like)
     #: for every tuple every operator touches.
@@ -54,8 +60,8 @@ class CostProfile:
 COST_PROFILES = {profile.name: profile for profile in (
     CostProfile("loop"),
     CostProfile("tuple", tuple_overhead=True),
-    CostProfile("vectorized", kernels=True, late_materialization=True),
-    CostProfile("vectorized-eager", kernels=True),
+    CostProfile("vectorized", "vectorized", late_materialization=True),
+    CostProfile("vectorized-eager", "vectorized"),
 )}
 
 
@@ -110,17 +116,97 @@ class CostParameters:
     radix_partition_ns_per_row: float = 6.0
     radix_partition_setup_ns: float = 500.0
 
-    def __post_init__(self):
-        for name, value in self.__dict__.items():
-            if value < 0:
-                raise DatabaseError(f"cost parameter {name} must be >= 0")
 
-    def scaled(self, factor: float) -> "CostParameters":
-        """All CPU constants scaled by *factor* (e.g. a slower machine)."""
-        if factor <= 0:
-            raise DatabaseError("scale factor must be positive")
-        return CostParameters(**{name: value * factor
-                                 for name, value in self.__dict__.items()})
+#: The constants every execution charges.
+COSTS = CostParameters()
+
+#: The price table: what each named charge an operator issues costs
+#: under each profile family.  A charge is one ``charge_cpu`` call for
+#: some units (values, rows, build rows or probe rows).  Its row names
+#: the :class:`CostParameters` constant the loop family and the
+#: vectorized family multiply the units by (None: that family issues
+#: no call), whether the vectorized family adds ``kernel_launch_ns``,
+#: and the ``kernel`` span label a vectorized profile records.  A new
+#: profile is one :data:`COST_PROFILES` row.
+PRICE_TABLE = {
+    # charge: (loop family, vectorized family, launch, kernel label)
+    "filter": ("filter_ns_per_value", "vector_filter_ns_per_value", True, "filter.vector"),
+    "filter.gather": (None, "gather_ns_per_value", False, None),
+    "project.launch": (None, "kernel_launch_ns", False, "project.vector"),
+    "project": ("project_ns_per_value", "vector_project_ns_per_value", False, None),
+    "hash.build": ("hash_build_ns_per_row", None, False, None),
+    "hash.probe": ("hash_probe_ns_per_row", None, False, None),
+    "hash.join": (None, "vector_join_ns_per_row", True, "join.vector"),
+    "radix.join": (None, "vector_join_ns_per_row", True, "join.radix"),
+    "merge": ("filter_ns_per_value", "vector_join_ns_per_row", True, "merge.vector"),
+    "group": ("group_ns_per_row", "vector_group_ns_per_row", True, "aggregate.vector"),
+    "aggregate": ("agg_ns_per_value", "vector_agg_ns_per_value", False, None),
+    "distinct": ("group_ns_per_row", "vector_distinct_ns_per_row", True, "distinct.vector"),
+}
+
+
+def _family_prices(vectorized: bool):
+    """One family's column of :data:`PRICE_TABLE`, resolved once:
+    ``{charge: (ns per unit, fixed ns, kernel label)}``, or None for a
+    charge the family does not issue."""
+    prices = {}
+    for name, (loop, vector, launch, label) in PRICE_TABLE.items():
+        constant = vector if vectorized else loop
+        prices[name] = None if constant is None else (
+            getattr(COSTS, constant),
+            COSTS.kernel_launch_ns if vectorized and launch else 0.0,
+            label if vectorized else None)
+    return prices
+
+
+_PRICES = {"loop": _family_prices(False),
+           "vectorized": _family_prices(True)}
+
+
+def partition_bits(cache, n_build: int,
+                   forced: Optional[int] = None) -> int:
+    """Radix bits of a join that builds on *n_build* rows: *forced*,
+    clamped to the legal range, or else the fewest bits that fit each
+    partition's hash table in the last level of *cache* (the default
+    L2 when there is no cache model)."""
+    if forced is not None:
+        return max(0, min(int(forced), kernels.MAX_RADIX_BITS))
+    if cache is not None and cache.levels:
+        cache_bytes = cache.levels[-1].size_bytes
+    else:
+        cache_bytes = DEFAULT_CACHE_MODEL.l2_bytes
+    return kernels.radix_bits_for(n_build, cache_bytes)
+
+
+def join_access_ns(cache, n_build: int, n_probe: int,
+                   bits: int = 0) -> Tuple[float, float]:
+    """``(partition_ns, memory_ns)`` of a hash join split on *bits*
+    radix bits (0: a plain hash join).
+
+    Every partitioning pass streams both inputs once and every
+    partition pays a fixed setup; over-partitioning loses on this term,
+    which sets E28's sweet spot.  With a *cache* hierarchy, building
+    and probing are random accesses into a hash table the size of one
+    partition, so an out-of-cache plain build pays memory latency on
+    almost every probe, which is the cost the radix join removes.
+    Without one, *memory_ns* is 0.
+    """
+    n_total = n_build + n_probe
+    passes = kernels.radix_passes(bits)
+    partition_ns = 0.0
+    if passes:
+        partition_ns = (passes * COSTS.radix_partition_ns_per_row * n_total
+                        + (1 << bits) * COSTS.radix_partition_setup_ns)
+    memory_ns = 0.0
+    if cache is not None:
+        for _ in range(passes):
+            # Partitioning is sequential: read + scatter-write streams.
+            memory_ns += cache.sequential_scan(n_total, 16)
+        working_set = max(
+            1, (kernels.HASH_TABLE_BYTES_PER_ROW * n_build) >> bits)
+        memory_ns += cache.random_accesses(n_build, working_set)
+        memory_ns += cache.random_accesses(n_probe, working_set)
+    return partition_ns, memory_ns
 
 
 class ExecutionContext:
@@ -134,7 +220,6 @@ class ExecutionContext:
                  clock: VirtualClock,
                  counters: Optional[HardwareCounters] = None,
                  build: Optional[BuildModel] = None,
-                 costs: Optional[CostParameters] = None,
                  executor: str = "loop",
                  cache=None,
                  zone_maps: bool = True,
@@ -145,9 +230,11 @@ class ExecutionContext:
         self.counters = counters if counters is not None \
             else buffer_pool.counters
         self.build = build if build is not None else BuildModel(BuildMode.OPT)
-        self.costs = costs if costs is not None else CostParameters()
-        #: The execution style's :class:`CostProfile`.
+        self.costs = COSTS
+        #: The execution style's :class:`CostProfile`, and its column of
+        #: the price table.
         self.profile = cost_profile(executor)
+        self.prices = _PRICES[self.profile.family]
         #: Optional :class:`~repro.hardware.cache.CacheHierarchy`; when
         #: set, joins charge simulated memory-access latency on top of
         #: their per-row CPU cost (the memory wall becomes visible).
@@ -168,6 +255,30 @@ class ExecutionContext:
             raise DatabaseError("cannot charge negative CPU time")
         scaled = self.build.scale_cpu_ns(category, ns)
         self.clock.advance(cpu_seconds=scaled / 1e9)
+
+    def charge(self, node, name: str, category: str,
+               units: int = 1) -> None:
+        """Charge :data:`PRICE_TABLE`'s *name* for *units* under this
+        profile, and record its kernel label on *node*'s span."""
+        price = self.prices[name]
+        if price is None:
+            return
+        per_unit_ns, fixed_ns, label = price
+        self.charge_cpu(category, fixed_ns + per_unit_ns * units)
+        if label is not None:
+            node.span_extras["kernel"] = label
+
+    def charge_join_access(self, n_build: int, n_probe: int,
+                           bits: int = 0) -> None:
+        """Charge a hash join's partitioning passes, if any, then its
+        memory accesses, if the engine has a cache model
+        (:func:`join_access_ns`)."""
+        partition_ns, memory_ns = join_access_ns(self.cache, n_build,
+                                                 n_probe, bits)
+        if partition_ns:
+            self.charge_cpu("hash", partition_ns)
+        if self.cache is not None:
+            self.charge_cpu("hash", memory_ns)
 
     def charge_tuples(self, n_rows: int) -> None:
         """Per-tuple interpretation overhead (``tuple`` profile only)."""

@@ -126,8 +126,7 @@ class CostModel:
 
 def _analytic_coefficients() -> Tuple[Tuple[str, OperatorCost], ...]:
     """Defaults derived from CostParameters' ``loop`` profile constants."""
-    from repro.db.context import CostParameters
-    c = CostParameters()
+    from repro.db.context import COSTS as c
     return tuple(sorted({
         # Scans pay per value materialised plus per byte pulled through
         # the buffer pool (column count enters via bytes_touched).
@@ -139,7 +138,7 @@ def _analytic_coefficients() -> Tuple[Tuple[str, OperatorCost], ...]:
             4_000.0, (c.hash_build_ns_per_row
                       + c.hash_probe_ns_per_row) / 2.0, 0.0),
         # Same build/probe work as HashJoin: the partitioning overhead
-        # is added separately (physops._radix_extra_ns) because it
+        # is added separately (context.join_access_ns) because it
         # depends on the cache geometry, not on the row counts alone.
         "RadixHashJoin": OperatorCost(
             4_000.0, (c.hash_build_ns_per_row

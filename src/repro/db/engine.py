@@ -21,12 +21,7 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.db import kernels
 from repro.db.buffer import BufferPool
-from repro.db.context import (
-    COST_PROFILES,
-    CostParameters,
-    ExecutionContext,
-    cost_profile,
-)
+from repro.db.context import COST_PROFILES, ExecutionContext, cost_profile
 from repro.db.disk import DiskModel
 from repro.db.indexes import HashIndex, IndexCatalog
 from repro.db.costmodel import CostModel
@@ -61,7 +56,6 @@ class EngineConfig:
     build: BuildModel = field(default_factory=lambda: BuildModel(BuildMode.OPT))
     tuned: bool = True
     naive_joins: bool = False
-    costs: CostParameters = field(default_factory=CostParameters)
     disk: DiskModel = field(default_factory=DiskModel)
     #: Execution style, charged as a cost profile
     #: (:class:`~repro.db.context.CostProfile`) over one host
@@ -281,7 +275,6 @@ class Engine:
             database=self.database, buffer_pool=self.buffer_pool,
             clock=self.clock, counters=self.counters,
             build=self.config.build,
-            costs=self.config.costs,
             executor=self.config.executor,
             cache=self.cache,
             zone_maps=self.config.zone_maps,
@@ -381,7 +374,7 @@ class Engine:
         if self.faults is not None:
             self.faults.tick("engine.execute")
         ctx = self._context()
-        costs = self.config.costs
+        costs = ctx.costs
 
         start = self.clock.sample()
         plan: Optional[PlanNode] = None

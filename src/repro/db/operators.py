@@ -11,10 +11,15 @@ charges simulated cost to the execution context:
 Each operator has one host implementation, built on the kernels of
 :mod:`repro.db.kernels`.  The execution styles the tutorial contrasts —
 per-row loop, Volcano tuples, vectorized — are cost profiles
-(:class:`~repro.db.context.CostProfile`): they choose what each charge
-site charges, never which code runs.  This dual nature is what lets the
-benchmark suite reproduce the tutorial's timing tables deterministically
-while tests validate results against SQLite.
+(:class:`~repro.db.context.CostProfile`).  An operator issues named
+charges with their units (``ctx.charge``), and the profile's column of
+:data:`~repro.db.context.PRICE_TABLE` prices them.  Profiles choose
+which code runs in two places only: under ``late_materialization``,
+:class:`SeqScan`'s zone-map survivors and :class:`Filter`'s matches
+travel on as a selection vector instead of being gathered at once.
+This dual nature is what lets the benchmark suite reproduce the
+tutorial's timing tables deterministically while tests validate
+results against SQLite.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.db import kernels
-from repro.db.context import ExecutionContext
+from repro.db.context import ExecutionContext, partition_bits
 from repro.db.expressions import Expr
 from repro.db.plan import Batch, PlanNode, batch_rows, require_columns
 from repro.db.storage import Dictionary
@@ -39,7 +44,7 @@ def _kernel_extras(ctx) -> List[str]:
     charges (the per-row loop ones or the vectorized kernel ones)."""
     if ctx is None:
         return []
-    return [f"kernel={'vectorized' if ctx.profile.kernels else 'loop'}"]
+    return [f"kernel={ctx.profile.family}"]
 
 
 def _predicate_view(batch, columns: Sequence[str], n: int,
@@ -246,17 +251,8 @@ class Filter(PlanNode):
         needed = sorted(self.predicate.columns())
         require_columns(batch, needed, self.name())
         n = batch_rows(batch)
-        costs = ctx.costs
-        if ctx.profile.kernels:
-            ctx.charge_cpu(self.category,
-                           costs.kernel_launch_ns
-                           + costs.vector_filter_ns_per_value * n
-                           * self.predicate.node_count())
-            self.span_extras["kernel"] = "filter.vector"
-        else:
-            ctx.charge_cpu(self.category,
-                           costs.filter_ns_per_value * n
-                           * self.predicate.node_count())
+        ctx.charge(self, "filter", self.category,
+                   n * self.predicate.node_count())
         ctx.charge_tuples(n)
         proof = self._zone_shortcircuit()
         if proof is not None:
@@ -275,8 +271,9 @@ class Filter(PlanNode):
         new_sel = np.flatnonzero(mask) if sel is None else sel[mask]
         if ctx.profile.late_materialization:
             return kernels.SelBatch(base, new_sel)
-        if ctx.profile.kernels:
-            kernels.charge_gather(ctx, int(new_sel.size), len(base))
+        gathered = int(new_sel.size) * len(base)
+        if gathered:
+            ctx.charge(self, "filter.gather", "scan", gathered)
         return kernels.gather(base, new_sel)
 
 
@@ -317,20 +314,14 @@ class Project(PlanNode):
         # here, computed outputs are fresh arrays either way.
         batch = child_batches[0]
         n = batch_rows(batch)
-        costs = ctx.costs
         referenced = sorted(set().union(
             *(expr.columns() for expr, __ in self.items)))
         view = _predicate_view(batch, referenced, n, ctx)
-        if ctx.profile.kernels:
-            ctx.charge_cpu("arithmetic", costs.kernel_launch_ns)
-            self.span_extras["kernel"] = "project.vector"
-            per_value = costs.vector_project_ns_per_value
-        else:
-            per_value = costs.project_ns_per_value
+        ctx.charge(self, "project.launch", "arithmetic")
         out: Batch = {}
         for expr, alias in self.items:
-            ctx.charge_cpu(expr.cost_category(),
-                           per_value * n * expr.node_count())
+            ctx.charge(self, "project", expr.cost_category(),
+                       n * expr.node_count())
             # A column reference passes a coded column on as it is.
             out[alias] = kernels.compile_expr(expr)(view)
         ctx.charge_tuples(n)
@@ -341,6 +332,8 @@ class HashJoin(PlanNode):
     """Inner equi-join: build on the right child, probe with the left."""
 
     category = "hash"
+    #: The price-table charge of the join's vectorized kernel.
+    kernel_charge = "hash.join"
 
     def __init__(self, left: PlanNode, right: PlanNode,
                  left_keys: Sequence[str], right_keys: Sequence[str]):
@@ -398,48 +391,28 @@ class HashJoin(PlanNode):
         n_left, n_right = batch_rows(left), batch_rows(right)
         build_side = self.choose_build_side(ctx)
         n_build = n_left if build_side == "left" else n_right
+        n_probe = n_left + n_right - n_build
         self.span_extras["build_side"] = build_side
         # Hash table: roughly one 8-byte slot + entry per build row.
         self.aux_bytes = kernels.HASH_TABLE_BYTES_PER_ROW * n_build
         ctx.charge_tuples(n_left + n_right)
-        self._charge_access(ctx, n_left, n_right, n_build)
-        costs = ctx.costs
-        if ctx.profile.kernels:
-            ctx.charge_cpu("hash",
-                           costs.kernel_launch_ns
-                           + costs.vector_join_ns_per_row
-                           * (n_left + n_right))
-            self.span_extras["kernel"] = "join.vector"
-        else:
-            ctx.charge_cpu("hash", costs.hash_build_ns_per_row * n_build)
-            ctx.charge_cpu("hash", costs.hash_probe_ns_per_row
-                           * (n_left + n_right - n_build))
+        bits = self._partition_bits(ctx, n_build)
+        ctx.charge_join_access(n_build, n_probe, bits)
+        ctx.charge(self, "hash.build", "hash", n_build)
+        ctx.charge(self, "hash.probe", "hash", n_probe)
+        ctx.charge(self, self.kernel_charge, "hash", n_left + n_right)
         left_codes, right_codes = kernels.encode_join_keys(
             [left[k] for k in self.left_keys],
             [right[k] for k in self.right_keys])
-        li, ri = self._match(ctx, left_codes, right_codes)
+        li, ri = self._match(left_codes, right_codes, bits)
         return _join_output(left, right, li, ri, self.right_keys)
 
-    def _charge_access(self, ctx, n_left: int, n_right: int,
-                       n_build: int) -> None:
-        """Memory-latency side of the join.
+    def _partition_bits(self, ctx, n_build: int) -> int:
+        """Radix bits the join partitions on: none."""
+        return 0
 
-        Charged only when the engine carries a cache model: building and
-        probing are random accesses into a hash table sized by the full
-        build input, so an out-of-cache build pays memory latency on
-        (almost) every probe — the effect the radix join removes.
-        """
-        cache = ctx.cache
-        if cache is None:
-            return
-        working_set = max(1, kernels.HASH_TABLE_BYTES_PER_ROW * n_build)
-        ns = cache.random_accesses(n_build, working_set)
-        ns += cache.random_accesses(n_left + n_right - n_build,
-                                    working_set)
-        ctx.charge_cpu("hash", ns)
-
-    def _match(self, ctx, left_codes: np.ndarray,
-               right_codes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    def _match(self, left_codes: np.ndarray, right_codes: np.ndarray,
+               bits: int) -> Tuple[np.ndarray, np.ndarray]:
         return kernels.join_match(left_codes, right_codes)
 
 
@@ -455,6 +428,8 @@ class RadixHashJoin(HashJoin):
     cost) differs.
     """
 
+    kernel_charge = "radix.join"
+
     def __init__(self, left: PlanNode, right: PlanNode,
                  left_keys: Sequence[str], right_keys: Sequence[str],
                  radix_bits: Optional[int] = None):
@@ -462,7 +437,6 @@ class RadixHashJoin(HashJoin):
         #: Forced partition bits (plan-level override); None defers to
         #: the context's ``radix_bits`` and finally to auto-sizing.
         self.radix_bits = radix_bits
-        self._last_bits = 0
 
     def name(self) -> str:
         pairs = ", ".join(f"{l}={r}" for l, r in
@@ -472,15 +446,7 @@ class RadixHashJoin(HashJoin):
     def _bits_for(self, ctx, n_build: int) -> int:
         forced = self.radix_bits if self.radix_bits is not None \
             else ctx.radix_bits
-        if forced is not None:
-            return max(0, min(int(forced), kernels.MAX_RADIX_BITS))
-        cache = ctx.cache
-        if cache is not None and cache.levels:
-            cache_bytes = cache.levels[-1].size_bytes
-        else:
-            from repro.hardware.cache import DEFAULT_CACHE_MODEL
-            cache_bytes = DEFAULT_CACHE_MODEL.l2_bytes
-        return kernels.radix_bits_for(n_build, cache_bytes)
+        return partition_bits(ctx.cache, n_build, forced)
 
     def explain_extras(self, ctx) -> List[str]:
         extras = super().explain_extras(ctx)
@@ -494,43 +460,15 @@ class RadixHashJoin(HashJoin):
             extras.append(f"partitions={1 << int(bits)}")
         return extras
 
-    def _charge_access(self, ctx, n_left: int, n_right: int,
-                       n_build: int) -> None:
+    def _partition_bits(self, ctx, n_build: int) -> int:
         bits = self._bits_for(ctx, n_build)
-        self._last_bits = bits
         self.span_extras["radix_bits"] = bits
         self.span_extras["partitions"] = 1 << bits
-        costs = ctx.costs
-        passes = kernels.radix_passes(bits)
-        if passes:
-            # CPU side of partitioning: every pass streams both inputs
-            # once; every partition pays a fixed setup (this is what
-            # makes over-partitioning lose — the E28 sweet spot).
-            ctx.charge_cpu(
-                "hash",
-                passes * costs.radix_partition_ns_per_row
-                * (n_left + n_right)
-                + (1 << bits) * costs.radix_partition_setup_ns)
-        cache = ctx.cache
-        if cache is None:
-            return
-        ns = 0.0
-        for _ in range(passes):
-            # Partitioning is sequential: read + scatter-write streams.
-            ns += cache.sequential_scan(n_left + n_right, 16)
-        working_set = max(
-            1, (kernels.HASH_TABLE_BYTES_PER_ROW * n_build) >> bits)
-        ns += cache.random_accesses(n_build, working_set)
-        ns += cache.random_accesses(n_left + n_right - n_build,
-                                    working_set)
-        ctx.charge_cpu("hash", ns)
+        return bits
 
-    def _match(self, ctx, left_codes: np.ndarray,
-               right_codes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        if ctx.profile.kernels:
-            self.span_extras["kernel"] = "join.radix"
-        return kernels.radix_join_match(left_codes, right_codes,
-                                        self._last_bits)
+    def _match(self, left_codes: np.ndarray, right_codes: np.ndarray,
+               bits: int) -> Tuple[np.ndarray, np.ndarray]:
+        return kernels.radix_join_match(left_codes, right_codes, bits)
 
 
 class NestedLoopJoin(PlanNode):
@@ -650,19 +588,9 @@ class Aggregate(PlanNode):
              child_batches: List[Batch]) -> Batch:
         batch = kernels.materialize_charged(ctx, child_batches[0])
         n = batch_rows(batch)
-        costs = ctx.costs
-        if ctx.profile.kernels:
-            ctx.charge_cpu("hash", costs.kernel_launch_ns
-                           + costs.vector_group_ns_per_row * n)
-            ctx.charge_cpu("arithmetic",
-                           costs.vector_agg_ns_per_value * n
-                           * max(1, len(self.aggregates)))
-            self.span_extras["kernel"] = "aggregate.vector"
-        else:
-            ctx.charge_cpu("hash", costs.group_ns_per_row * n)
-            ctx.charge_cpu("arithmetic",
-                           costs.agg_ns_per_value * n
-                           * max(1, len(self.aggregates)))
+        ctx.charge(self, "group", "hash", n)
+        ctx.charge(self, "aggregate", "arithmetic",
+                   n * max(1, len(self.aggregates)))
         ctx.charge_tuples(n)
         child_schema = self.children[0].schema(ctx)
 
@@ -797,16 +725,7 @@ class MergeJoin(PlanNode):
             # Merging is purely sequential: one stream over each input.
             ctx.charge_cpu("sort",
                            ctx.cache.sequential_scan(n_left + n_right, 16))
-        costs = ctx.costs
-        if ctx.profile.kernels:
-            ctx.charge_cpu("sort",
-                           costs.kernel_launch_ns
-                           + costs.vector_join_ns_per_row
-                           * (n_left + n_right))
-            self.span_extras["kernel"] = "merge.vector"
-        else:
-            ctx.charge_cpu("sort", costs.filter_ns_per_value
-                           * (n_left + n_right))
+        ctx.charge(self, "merge", "sort", n_left + n_right)
         li, ri = kernels.merge_match(lk, rk)
         return _join_output(left, right, li, ri, (self.right_key,))
 
@@ -836,13 +755,7 @@ class Distinct(PlanNode):
              child_batches: List[Batch]) -> Batch:
         batch = kernels.materialize_charged(ctx, child_batches[0])
         n = batch_rows(batch)
-        costs = ctx.costs
-        if ctx.profile.kernels:
-            ctx.charge_cpu("hash", costs.kernel_launch_ns
-                           + costs.vector_distinct_ns_per_row * n)
-            self.span_extras["kernel"] = "distinct.vector"
-        else:
-            ctx.charge_cpu("hash", costs.group_ns_per_row * n)
+        ctx.charge(self, "distinct", "hash", n)
         ctx.charge_tuples(n)
         idx = kernels.first_occurrence_order([batch[c] for c in batch])
         return {name: arr[idx] for name, arr in batch.items()}

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
-from repro.db import kernels
+from repro.db.context import join_access_ns, partition_bits
 from repro.db.costmodel import CostModel
 from repro.db.parser import PlanHints
 from repro.errors import PlanError
@@ -191,49 +191,6 @@ class HintOperatorSelection(PhysicalOperatorSelection):
             assignment.set_build_side(table, side)
 
 
-def _hash_memory_ns(cache, step: JoinStep) -> float:
-    """Memory-access cost of a plain hash join under *cache*: build and
-    probe are random accesses into a full-build-size hash table."""
-    if cache is None:
-        return 0.0
-    n_build = int(min(step.rows_left, step.rows_right))
-    n_probe = int(step.rows_left + step.rows_right) - n_build
-    working_set = max(1, kernels.HASH_TABLE_BYTES_PER_ROW * n_build)
-    return (cache.random_accesses(n_build, working_set)
-            + cache.random_accesses(n_probe, working_set))
-
-
-def _radix_extra_ns(cache, step: JoinStep) -> float:
-    """Partitioning overhead plus the (cache-resident) access cost of a
-    radix join.  Without a cache model the partitioning passes make
-    radix strictly costlier than hash, so it is never chosen — exactly
-    the pre-cache-conscious plan space."""
-    from repro.db.context import CostParameters
-    from repro.hardware.cache import DEFAULT_CACHE_MODEL
-
-    n_build = int(min(step.rows_left, step.rows_right))
-    n_probe = int(step.rows_left + step.rows_right) - n_build
-    n_total = n_build + n_probe
-    if cache is not None and cache.levels:
-        cache_bytes = cache.levels[-1].size_bytes
-    else:
-        cache_bytes = DEFAULT_CACHE_MODEL.l2_bytes
-    bits = kernels.radix_bits_for(n_build, cache_bytes)
-    passes = kernels.radix_passes(bits)
-    costs = CostParameters()
-    ns = passes * costs.radix_partition_ns_per_row * n_total
-    if passes:
-        ns += (1 << bits) * costs.radix_partition_setup_ns
-    if cache is not None:
-        for _ in range(passes):
-            ns += cache.sequential_scan(n_total, 16)
-        working_set = max(
-            1, (kernels.HASH_TABLE_BYTES_PER_ROW * n_build) >> bits)
-        ns += cache.random_accesses(n_build, working_set)
-        ns += cache.random_accesses(n_probe, working_set)
-    return ns
-
-
 def join_operator_cost(model: CostModel, operator: str,
                        step: JoinStep, cache=None) -> float:
     """Estimated ns for executing one join step with *operator*.
@@ -246,14 +203,14 @@ def join_operator_cost(model: CostModel, operator: str,
     probes cache-resident partitions — so radix wins exactly when the
     build side outgrows the cache.
     """
-    if operator == "hash":
-        return (model.operator_ns("HashJoin", step.rows_left,
-                                  step.rows_out, step.rows_right)
-                + _hash_memory_ns(cache, step))
-    if operator == "radix":
-        return (model.operator_ns("RadixHashJoin", step.rows_left,
-                                  step.rows_out, step.rows_right)
-                + _radix_extra_ns(cache, step))
+    if operator in ("hash", "radix"):
+        n_build = int(min(step.rows_left, step.rows_right))
+        n_probe = int(step.rows_left + step.rows_right) - n_build
+        bits = partition_bits(cache, n_build) if operator == "radix" else 0
+        kind = "RadixHashJoin" if operator == "radix" else "HashJoin"
+        return (model.operator_ns(kind, step.rows_left, step.rows_out,
+                                  step.rows_right)
+                + sum(join_access_ns(cache, n_build, n_probe, bits)))
     if operator == "loop":
         return model.operator_ns("NestedLoopJoin", step.rows_left,
                                  step.rows_out, step.rows_right)
