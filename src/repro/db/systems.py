@@ -9,14 +9,13 @@ rather than one engine, so this module abstracts query execution behind
 ``physops.selection`` split (SNIPPETS.md #2-3) — with three concrete
 backends:
 
-- :class:`MiniDBLoopSystem` — MiniDB charging the per-row ``loop``
-  cost profile;
-- :class:`MiniDBVectorizedSystem` — MiniDB charging the ``vectorized``
-  kernel cost profile;
+- :class:`MiniDBSystem` — MiniDB, charging the cost profile its
+  :class:`~repro.db.engine.EngineConfig` names (``minidb-loop``,
+  ``minidb-vectorized``, ...);
 - :class:`SQLiteSystem` — stdlib ``sqlite3``, in-process and
   dependency-free: a *real* engine the prototype can be held against.
 
-All three accept the same MiniDB SQL dialect (including ``/*+ ... */``
+Both accept the same MiniDB SQL dialect (including ``/*+ ... */``
 hints).  :meth:`DatabaseSystem.force_plan` maps one logical join order
 onto each backend — MiniDB via ``JOIN_ORDER`` hints, SQLite by
 rewriting the joins into ``CROSS JOIN`` form (which pins the join order
@@ -259,23 +258,18 @@ class DatabaseSystem(abc.ABC):
 class MiniDBSystem(DatabaseSystem):
     """Thin adapter over :class:`~repro.db.engine.Engine`.
 
-    Subclasses pin the executor cost profile; every other engine knob
-    can be overridden through *config*.
+    Runs the cost profile its *config* names, and is called
+    ``minidb-<executor>`` unless it has a *label*.
     """
-
-    executor = "loop"
 
     def __init__(self, config: Optional[EngineConfig] = None,
                  label: Optional[str] = None):
         super().__init__()
-        base = config if config is not None else EngineConfig()
-        if base.executor != self.executor:
-            base = replace(base, executor=self.executor)
-        self.config = base
-        if label is not None:
-            # Distinguish two differently-tuned instances of the same
-            # backend in one comparison (e.g. tuned vs untuned).
-            self.name = label
+        self.config = config if config is not None else EngineConfig()
+        # A label distinguishes two differently-tuned instances of the
+        # same profile in one comparison (e.g. tuned vs untuned).
+        self.name = label if label is not None \
+            else f"minidb-{self.config.executor}"
         self.engine: Optional[Engine] = None
 
     def connect(self) -> None:
@@ -330,18 +324,12 @@ class MiniDBSystem(DatabaseSystem):
         self._require_engine().make_cold()
 
 
-class MiniDBLoopSystem(MiniDBSystem):
-    """MiniDB charging the per-row ``loop`` cost profile."""
-
-    name = "minidb-loop"
-    executor = "loop"
-
-
-class MiniDBVectorizedSystem(MiniDBSystem):
-    """MiniDB charging the ``vectorized`` kernel cost profile."""
-
-    name = "minidb-vectorized"
-    executor = "vectorized"
+def MiniDBVectorizedSystem(config: Optional[EngineConfig] = None,
+                           label: Optional[str] = None) -> MiniDBSystem:
+    """A :class:`MiniDBSystem` running the ``vectorized`` profile, with
+    every other knob from *config*; the name perfbench imports."""
+    base = config if config is not None else EngineConfig()
+    return MiniDBSystem(replace(base, executor="vectorized"), label)
 
 
 # ---------------------------------------------------------------------------
@@ -699,4 +687,5 @@ class SQLiteSystem(DatabaseSystem):
 #: The standard three-way contender list for cross-system studies.
 def default_systems() -> Tuple[DatabaseSystem, ...]:
     """Fresh instances of the three built-in backends."""
-    return (MiniDBLoopSystem(), MiniDBVectorizedSystem(), SQLiteSystem())
+    return (MiniDBSystem(), MiniDBSystem(EngineConfig(executor="vectorized")),
+            SQLiteSystem())

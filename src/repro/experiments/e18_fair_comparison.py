@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core import ComparisonContext, FairnessReport, check_fairness
-from repro.db import Engine, EngineConfig, MiniDBLoopSystem
+from repro.db import Engine, EngineConfig, MiniDBSystem
 from repro.hardware import BuildMode, BuildModel
 from repro.measurement import PickRule, RunProtocol, State
 from repro.measurement.comparison import (
@@ -79,9 +79,8 @@ def _pitfall_replay(db, sql: str) -> ComparisonReport:
     classic protocol mismatches — and no plan shape is ever forced, so
     the automated Taipalus checklist must flag all three.
     """
-    prototype = MiniDBLoopSystem(EngineConfig(), label="prototype-X")
-    shelf = MiniDBLoopSystem(EngineConfig.untuned(),
-                             label="off-the-shelf-Y")
+    prototype = MiniDBSystem(EngineConfig(), label="prototype-X")
+    shelf = MiniDBSystem(EngineConfig.untuned(), label="off-the-shelf-Y")
     harness = FairComparisonHarness(
         (prototype, shelf),
         protocol=RunProtocol(state=State.HOT, repetitions=3,

@@ -7,8 +7,9 @@ import pytest
 from repro.db import (
     DataType,
     Database,
+    Engine,
     EngineConfig,
-    MiniDBLoopSystem,
+    MiniDBSystem,
     MiniDBVectorizedSystem,
     SystemResult,
     Table,
@@ -98,9 +99,24 @@ class TestMiniDBAdapters:
         assert r1.simulated_s is not None and r1.simulated_s > 0
 
     def test_label_overrides_name(self, db):
-        system = MiniDBLoopSystem(EngineConfig(), label="prototype-X")
+        system = MiniDBSystem(EngineConfig(), label="prototype-X")
         assert system.name == "prototype-X"
-        assert MiniDBLoopSystem().name == "minidb-loop"
+        assert MiniDBSystem().name == "minidb-loop"
+
+    def test_runs_and_names_the_profile_its_config_names(self, db):
+        system = MiniDBSystem(EngineConfig(executor="tuple"))
+        assert system.name == "minidb-tuple"
+        system.load(db)
+        engine = Engine(db, EngineConfig(executor="tuple"))
+        assert system.execute(STAR_SQL).simulated_s == \
+            engine.execute(STAR_SQL).server_time.real
+
+    def test_vectorized_alias_keeps_the_other_knobs(self):
+        system = MiniDBVectorizedSystem(EngineConfig(plan_cache=True))
+        assert isinstance(system, MiniDBSystem)
+        assert system.name == "minidb-vectorized"
+        assert system.config == EngineConfig(executor="vectorized",
+                                             plan_cache=True)
 
     def test_execute_before_load_fails(self):
         with pytest.raises(DatabaseError, match="load"):
@@ -191,7 +207,7 @@ class TestSqliteTranslation:
 
 class TestSupportsPlanForcingFlag:
     def test_refusal_raises_database_error(self, db):
-        class NoForce(MiniDBLoopSystem):
+        class NoForce(MiniDBSystem):
             supports_plan_forcing = False
 
         system = NoForce(label="no-force")

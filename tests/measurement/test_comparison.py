@@ -6,8 +6,8 @@ import pytest
 from repro.db import (
     DataType,
     Database,
-    MiniDBLoopSystem,
-    MiniDBVectorizedSystem,
+    EngineConfig,
+    MiniDBSystem,
     Table,
     default_systems,
 )
@@ -82,11 +82,11 @@ class TestSpecValidation:
 class TestHarnessValidation:
     def test_needs_two_systems(self):
         with pytest.raises(MeasurementError, match=">= 2 systems"):
-            FairComparisonHarness((MiniDBLoopSystem(),))
+            FairComparisonHarness((MiniDBSystem(),))
 
     def test_duplicate_names_rejected(self):
         with pytest.raises(MeasurementError, match="duplicate"):
-            FairComparisonHarness((MiniDBLoopSystem(), MiniDBLoopSystem()))
+            FairComparisonHarness((MiniDBSystem(), MiniDBSystem()))
 
     def test_override_for_unknown_system_rejected(self):
         with pytest.raises(MeasurementError, match="unknown systems"):
@@ -193,11 +193,12 @@ class TestUnfairRuns:
 
 class TestForcingRefusals:
     def test_non_forcing_system_warns_instead_of_crashing(self):
-        class NoForce(MiniDBVectorizedSystem):
+        class NoForce(MiniDBSystem):
             supports_plan_forcing = False
 
         harness = FairComparisonHarness(
-            (MiniDBLoopSystem(), NoForce(label="no-force")),
+            (MiniDBSystem(),
+             NoForce(EngineConfig(executor="vectorized"), label="no-force")),
             protocol=hot(repetitions=1))
         report = harness.run(tiny_star(), spec())
         check = report.pitfall("plan-shapes")
@@ -211,11 +212,12 @@ class TestForcingRefusals:
         assert any(m.forcing_error for m in measured)
 
     def test_results_still_verified_for_refusing_system(self):
-        class NoForce(MiniDBVectorizedSystem):
+        class NoForce(MiniDBSystem):
             supports_plan_forcing = False
 
         harness = FairComparisonHarness(
-            (MiniDBLoopSystem(), NoForce(label="no-force")),
+            (MiniDBSystem(),
+             NoForce(EngineConfig(executor="vectorized"), label="no-force")),
             protocol=hot(repetitions=1))
         report = harness.run(tiny_star(), spec())
         assert report.pitfall("result-equivalence").passed
