@@ -194,6 +194,8 @@ class HarnessReport:
     #: Structured span timeline of the campaign, when it ran under a
     #: :class:`~repro.obs.Tracer` (see :mod:`repro.obs`).
     trace: Optional[Trace] = None
+    #: Protocol executions across every point, replayed ones included.
+    total_attempts: int = 0
 
     @classmethod
     def from_outcomes(cls, outcomes: Sequence[PointOutcome], *, name: str,
@@ -203,7 +205,9 @@ class HarnessReport:
 
         Measured points form the result set ``name`` (and ``raw``, when
         their timings are at hand), failed ones ``failures``, and
-        replays count towards ``resumed_points``.
+        replays count towards ``resumed_points``.  Every point's
+        attempts count towards ``total_attempts``, since a replayed
+        point has no timings to read them from.
         """
         results = ResultSet(name=name)
         raw: Dict[int, ProtocolResult] = {}
@@ -215,6 +219,7 @@ class HarnessReport:
         return cls(results=results, raw=raw,
                    failures=tuple(o for o in outcomes if not o.ok),
                    resumed_points=sum(o.resumed for o in outcomes),
+                   total_attempts=sum(o.attempts for o in outcomes),
                    **fields)
 
     @property
@@ -235,16 +240,9 @@ class HarnessReport:
         return self.n_measured / self.n_points if self.n_points else 1.0
 
     @property
-    def total_attempts(self) -> int:
-        """Protocol executions across measured and failed points."""
-        measured = sum(outcome.attempts for outcome in self.raw.values())
-        failed = sum(point.attempts for point in self.failures)
-        return measured + failed
-
-    @property
     def total_retries(self) -> int:
         """Attempts beyond the first, across all points."""
-        return self.total_attempts - len(self.raw) - self.n_failed
+        return self.total_attempts - self.n_points
 
     def require_complete(self) -> "HarnessReport":
         """This report, or a clear diagnostic if any point failed.

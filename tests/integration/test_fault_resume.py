@@ -108,6 +108,19 @@ class TestKillAndResume:
             uninterrupted.results.to_csv()
         assert resumed.failures == uninterrupted.failures
 
+    def test_resumed_counts_every_points_attempts(self, database,
+                                                  tmp_path):
+        uninterrupted = campaign(database)
+        journal = tmp_path / "campaign.journal"
+        with pytest.raises(KeyboardInterrupt):
+            campaign(database, checkpoint=journal, die_at=5)
+        resumed = campaign(database, checkpoint=journal)
+        assert uninterrupted.total_retries == 7
+        assert resumed.total_retries == uninterrupted.total_retries
+        clause = "7 retried attempt(s) across the campaign"
+        assert clause in uninterrupted.documentation()
+        assert clause in resumed.documentation()
+
     def test_double_resume_is_stable(self, database, tmp_path):
         """Resuming a finished campaign replays everything, identically."""
         journal = tmp_path / "campaign.journal"

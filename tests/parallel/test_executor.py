@@ -4,10 +4,11 @@ import pytest
 
 from repro.core import FactorSpace, FullFactorialDesign, two_level
 from repro.core.designs import Design
-from repro.errors import ParallelError, WorkloadError
+from repro.errors import ParallelError, TransientError, WorkloadError
 from repro.measurement import (
     NoiseModel,
     PickRule,
+    RetryPolicy,
     RunProtocol,
     State,
     VirtualClock,
@@ -36,15 +37,18 @@ class FlakyWorkload(Workload):
 
     ``fail_on`` configs raise a (non-transient) :class:`WorkloadError`
     every attempt; ``explode_on`` configs raise a plain ``ValueError``
-    — an infrastructure crash the executor must *not* swallow.
+    — an infrastructure crash the executor must *not* swallow;
+    ``transient_on`` configs raise a :class:`TransientError` once.
     Configs are keyed ``"<f1>-<f2>"``.
     """
 
-    def __init__(self, clock, noise, fail_on=(), explode_on=()):
+    def __init__(self, clock, noise, fail_on=(), explode_on=(),
+                 transient_on=()):
         self.clock = clock
         self.noise = noise
         self.fail_on = set(fail_on)
         self.explode_on = set(explode_on)
+        self.transient_on = set(transient_on)
 
     def setup(self, config):
         self.key = f"{config['f1']}-{config['f2']}"
@@ -54,6 +58,9 @@ class FlakyWorkload(Workload):
             raise ValueError(f"infrastructure crash at {self.key}")
         if self.key in self.fail_on:
             raise WorkloadError(f"broken config {self.key}")
+        if self.key in self.transient_on:
+            self.transient_on.discard(self.key)
+            raise TransientError(f"transient fault at {self.key}")
         self.clock.advance(cpu_seconds=self.noise.perturb(0.003))
 
     def make_cold(self):
@@ -73,10 +80,13 @@ def build_flaky(params, seed):
     noise = NoiseModel(seed=seed, relative_std=0.05)
     workload = FlakyWorkload(clock, noise,
                              fail_on=params.get("fail_on", ()),
-                             explode_on=params.get("explode_on", ()))
+                             explode_on=params.get("explode_on", ()),
+                             transient_on=params.get("transient_on", ()))
+    retry = RetryPolicy(max_attempts=2) if "transient_on" in params \
+        else None
     return CampaignStack(design=FullFactorialDesign(_space()),
                          workload=workload, protocol=PROTOCOL,
-                         clock=clock)
+                         clock=clock, retry=retry)
 
 
 def build_empty(params, seed):
@@ -241,6 +251,23 @@ class TestCheckpointResume:
         assert resumed.failures[0].resumed
         assert resumed.failures == fresh.failures
         assert resumed.results.to_csv() == fresh.results.to_csv()
+
+    def test_resumed_attempts_equal_a_fresh_run(self, tmp_path):
+        checkpoint = tmp_path / "campaign.journal"
+        # high-low needs a second attempt; the interrupted run journals
+        # it, then crashes at the last point (high-high).
+        broken = spec_for(transient_on=["high-low"],
+                          explode_on=["high-high"])
+        with pytest.raises(ValueError):
+            run_campaign(broken, jobs=1, checkpoint=checkpoint)
+
+        fixed = spec_for(transient_on=["high-low"])
+        resumed = run_campaign(fixed, jobs=2, checkpoint=checkpoint)
+        fresh = run_campaign(fixed, jobs=1)
+        assert resumed.resumed_points == 3
+        assert fresh.total_attempts == 5 and fresh.total_retries == 1
+        assert resumed.total_attempts == fresh.total_attempts
+        assert resumed.total_retries == fresh.total_retries
 
     def test_conflicting_journals_are_refused(self, tmp_path):
         checkpoint = tmp_path / "campaign.journal"
