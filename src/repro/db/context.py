@@ -92,7 +92,6 @@ class CostParameters:
     sort_ns_per_compare: float = 80.0
     agg_ns_per_value: float = 30.0
     group_ns_per_row: float = 120.0
-    output_ns_per_byte: float = 15.0
     parse_ns_per_char: float = 400.0
     optimize_ns_per_node: float = 25_000.0
     tuple_overhead_ns: float = 600.0
@@ -179,7 +178,7 @@ def partition_bits(cache, n_build: int,
 
 
 def join_access_ns(cache, n_build: int, n_probe: int,
-                   bits: int = 0) -> Tuple[float, float]:
+                   bits: int) -> Tuple[float, float]:
     """``(partition_ns, memory_ns)`` of a hash join split on *bits*
     radix bits (0: a plain hash join).
 
@@ -269,7 +268,7 @@ class ExecutionContext:
             node.span_extras["kernel"] = label
 
     def charge_join_access(self, n_build: int, n_probe: int,
-                           bits: int = 0) -> None:
+                           bits: int) -> None:
         """Charge a hash join's partitioning passes, if any, then its
         memory accesses, if the engine has a cache model
         (:func:`join_access_ns`)."""

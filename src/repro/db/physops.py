@@ -201,7 +201,9 @@ def join_operator_cost(model: CostModel, operator: str,
     join additionally pays random-access memory latency sized by its
     build input, while the radix join pays partitioning passes but
     probes cache-resident partitions — so radix wins exactly when the
-    build side outgrows the cache.
+    build side outgrows the cache.  Without one, radix pays for its
+    partitioning passes alone and is never chosen: the
+    pre-cache-conscious plan space.
     """
     if operator in ("hash", "radix"):
         n_build = int(min(step.rows_left, step.rows_right))

@@ -6,7 +6,7 @@ protocol, with the *same* plan shape on every contender.  That is only
 enforceable when the experiment code is written against an interface
 rather than one engine, so this module abstracts query execution behind
 :class:`DatabaseSystem` — modelled on PostBOUND's ``db.systems`` +
-``physops.selection`` split (SNIPPETS.md #2-3) — with three concrete
+``physops.selection`` split (SNIPPETS.md #2-3) — with two concrete
 backends:
 
 - :class:`MiniDBSystem` — MiniDB, charging the cost profile its
@@ -686,6 +686,6 @@ class SQLiteSystem(DatabaseSystem):
 
 #: The standard three-way contender list for cross-system studies.
 def default_systems() -> Tuple[DatabaseSystem, ...]:
-    """Fresh instances of the three built-in backends."""
+    """Fresh ``minidb-loop``, ``minidb-vectorized`` and ``sqlite``."""
     return (MiniDBSystem(), MiniDBSystem(EngineConfig(executor="vectorized")),
             SQLiteSystem())
