@@ -5,12 +5,14 @@ moves shows there only as a changed total.  These pins name it.  Under
 each cost profile the same queries reach every operator kind: a scan
 with zone-map pruning and an index scan; Filter, Project, Sort and
 Limit; hash, radix, merge and nested-loop joins; Aggregate and
-Distinct.  The test then checks three things:
+Distinct.  The test then checks four things:
 
 - the category and exact value (``repr``) of every ``charge_cpu`` call,
   digested per operator kind, so a failure names the operator;
 - the ``kernel`` attribute of every operator span under a tracer;
-- the EXPLAIN text, digested per profile.
+- the EXPLAIN text, digested per profile;
+- each result's peak working set (``QueryResult.peak_memory_bytes``)
+  and its rows, digested per profile.
 
 The planner's join prices (:func:`repro.db.physops.join_operator_cost`)
 are pinned value by value, with and without a cache hierarchy.
@@ -142,6 +144,21 @@ EXPLAIN = {
     "vectorized-eager": "0fdc49f2c28c7ad7",
 }
 
+#: sha256[:16] of every result's ``peak_memory_bytes``, and of every
+#: result's columns and rows, per profile.
+PEAK_MEMORY = {
+    "loop": "ffed22c2e625e549",
+    "tuple": "ffed22c2e625e549",
+    "vectorized": "b0669ca4fe6b76f6",
+    "vectorized-eager": "ffed22c2e625e549",
+}
+ROWS = {
+    "loop": "75f882fe8ee2a1d2",
+    "tuple": "75f882fe8ee2a1d2",
+    "vectorized": "75f882fe8ee2a1d2",
+    "vectorized-eager": "75f882fe8ee2a1d2",
+}
+
 #: (rows_left, rows_right, rows_out) of the planner pins.  Their build
 #: sides fit the 2 MB L2, outgrow it, and outgrow it 60 times over; under
 #: the 4 KB cache the last two need a second partitioning pass.
@@ -250,6 +267,21 @@ def run_profile(db: Database, executor: str):
             spans, _digest(explains))
 
 
+def run_results(db: Database, executor: str):
+    """Digests of the peak working set and of the rows of every result
+    of *executor* over CONFIGS x QUERIES."""
+    peaks, rows = [], []
+    for config_name, overrides in CONFIGS.items():
+        engine = Engine(db, EngineConfig(executor=executor, **overrides))
+        engine.create_index("fact", "k")
+        for query_name, sql in QUERIES.items():
+            result = engine.execute(sql)
+            where = f"{config_name}/{query_name}"
+            peaks.append(f"{where}|{result.peak_memory_bytes}")
+            rows.append(f"{where}|{result.columns!r}|{result.rows!r}")
+    return _digest(peaks), _digest(rows)
+
+
 @pytest.fixture(scope="module")
 def runs():
     db = star_database()
@@ -283,6 +315,24 @@ def test_kernel_span_labels(runs, executor):
 def test_explain_pinned(runs, executor):
     __, __, explain = runs[executor]
     assert explain == EXPLAIN[executor]
+
+
+@pytest.fixture(scope="module")
+def results():
+    db = star_database()
+    return {executor: run_results(db, executor) for executor in PROFILES}
+
+
+@pytest.mark.parametrize("executor", PROFILES)
+def test_peak_memory_pinned(results, executor):
+    peaks, __ = results[executor]
+    assert peaks == PEAK_MEMORY[executor]
+
+
+@pytest.mark.parametrize("executor", PROFILES)
+def test_rows_pinned(results, executor):
+    __, rows = results[executor]
+    assert rows == ROWS[executor]
 
 
 def join_costs():
