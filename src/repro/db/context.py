@@ -10,15 +10,18 @@ This module prices that machine.  :class:`CostParameters` holds the
 ns-per-unit constants, :data:`PRICE_TABLE` says which constant each
 named operator charge multiplies under each cost profile, and
 :func:`join_access_ns` prices a hash join's partitioning passes and
-memory accesses for the executor and the planner alike.  The DBG/OPT
-:class:`~repro.hardware.compiler.BuildModel` scales every CPU charge;
-the engine's *tuned* flag acts through the planner options instead.
+memory accesses for the executor and the planner alike.
+:class:`ExecutionContext` also makes and prices every gather of a
+selection vector, so a profile's ``late_materialization`` is read here
+only.  The DBG/OPT :class:`~repro.hardware.compiler.BuildModel` scales
+every CPU charge; the engine's *tuned* flag acts through the planner
+options instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 from repro.db import kernels
 from repro.db.buffer import BufferPool
@@ -47,9 +50,11 @@ class CostProfile:
     #: EXPLAIN ``kernel=`` label: "loop" (the per-row constants) or
     #: "vectorized" (the kernel constants plus a launch per kernel).
     family: str = "loop"
-    #: Filters pass on a selection vector and the gather is charged at
-    #: the next pipeline breaker; otherwise a vectorized profile charges
-    #: the gather at the filter.
+    #: Where a selection vector's gather is charged, and whether its
+    #: ``sel`` array counts in the working set.  Late: where the rows
+    #: are read (a predicate, a pipeline breaker, the result), ``sel``
+    #: counted.  Eager: at the Filter (``filter.gather``), as if the
+    #: rows were gathered there.  The host code is the same either way.
     late_materialization: bool = False
     #: Charge the Volcano per-tuple interpretation overhead (MySQL-like)
     #: for every tuple every operator touches.
@@ -278,6 +283,36 @@ class ExecutionContext:
             self.charge_cpu("hash", partition_ns)
         if self.cache is not None:
             self.charge_cpu("hash", memory_ns)
+
+    def select(self, node, base, sel) -> kernels.SelBatch:
+        """A Filter's matches, the *sel* rows of *base*, passed on as a
+        selection vector.  An eager profile charges their gather here
+        (``filter.gather``), a late one where they are read."""
+        if not self.profile.late_materialization and sel.size and base:
+            self.charge(node, "filter.gather", "scan",
+                        int(sel.size) * len(base))
+        return kernels.SelBatch(base, sel)
+
+    def materialize(self, batch, names: Optional[Sequence[str]] = None):
+        """*batch* as a plain dict: if it carries a selection vector, its
+        *names* columns (all by default) gathered once, and charged
+        under a late profile; an eager one charged it at :meth:`select`."""
+        if not isinstance(batch, kernels.SelBatch):
+            return batch
+        n_rows = batch.rows()
+        n_columns = len(batch.base if names is None else names)
+        if self.profile.late_materialization and n_rows and n_columns:
+            self.charge_cpu("scan", self.costs.gather_ns_per_value
+                            * n_rows * n_columns)
+        return kernels.gather(batch.base, batch.sel, names)
+
+    def sel_bytes(self, batch) -> int:
+        """What *batch*'s ``sel`` array adds to a working set: 8 bytes a
+        row under a late profile; an eager one counts rows as gathered."""
+        if self.profile.late_materialization and \
+                isinstance(batch, kernels.SelBatch):
+            return 8 * batch.rows()
+        return 0
 
     def charge_tuples(self, n_rows: int) -> None:
         """Per-tuple interpretation overhead (``tuple`` profile only)."""

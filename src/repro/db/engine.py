@@ -61,8 +61,8 @@ class EngineConfig:
     #: (:class:`~repro.db.context.CostProfile`) over one host
     #: implementation: "loop" (per-row constants), "tuple" (loop plus
     #: Volcano per-tuple overhead), "vectorized" (kernel constants,
-    #: late materialisation) or "vectorized-eager" (kernel constants,
-    #: every filter gathers its survivors at once).
+    #: gathers charged where they are read) or "vectorized-eager"
+    #: (kernel constants, each filter charged the gather of its matches).
     executor: str = "loop"
     #: Reuse physical plans across textually-equivalent statements
     #: (keyed on normalised SQL + catalog versions).  Off by default so
@@ -434,9 +434,9 @@ class Engine:
             plan, sql=sql, executor=self.config.executor)
 
         with maybe_span("engine.materialize", "engine") as mat_span:
-            # A root Filter under selection vectors can hand back a
-            # SelBatch; gather it once here.
-            batch = kernels.materialize_charged(ctx, batch)
+            # A root scan, Filter or Limit can hand back a selection
+            # vector; gather it once here.
+            batch = ctx.materialize(batch)
             columns = tuple(batch)
             # One pass per column: tolist() yields Python ints, floats
             # (NaN for NULL) and strs, decoding a coded column once.

@@ -44,10 +44,12 @@ Selection vectors
 -----------------
 :class:`SelBatch` wraps a base batch plus a ``sel`` index array: a
 filter that keeps 1% of rows produces a 1%-sized ``sel`` instead of
-copying every column.  Downstream non-breaking operators compose with
-``sel``; pipeline breakers (joins, aggregation, sort, distinct) and the
-engine's materialisation phase gather exactly once via
-:func:`materialize`.
+copying every column, under every cost profile.  Downstream
+non-breaking operators compose with ``sel``; pipeline breakers (joins,
+aggregation, sort, distinct) and the engine's materialisation phase
+gather exactly once.  They gather through
+:meth:`~repro.db.context.ExecutionContext.materialize`, which also
+prices the gather; this module charges nothing.
 
 Coded strings
 -------------
@@ -158,17 +160,11 @@ class SelBatch:
                 f"column {name!r} not in batch "
                 f"({sorted(self.base)})") from None
 
-    def view(self, names: Sequence[str]) -> Dict[str, np.ndarray]:
-        """Gather only *names* (e.g. a predicate's referenced columns)."""
-        return {n: self.column(n) for n in names}
-
     def bytes_used(self) -> int:
-        """Selected payload plus the selection vector itself."""
+        """The selected rows' payload, as if gathered."""
         n = self.rows()
-        total = 8 * n  # the sel array
-        for arr in self.base.values():
-            total += n * (16 if arr.dtype == object else arr.itemsize)
-        return total
+        return sum(n * (16 if arr.dtype == object else arr.itemsize)
+                   for arr in self.base.values())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"SelBatch({sorted(self.base)}, "
@@ -835,22 +831,3 @@ def _false_rows(expr: Expr) -> CompiledExpr:
     # LIKE (strings are never NULL) and plain values: the complement.
     child = compile_expr(expr)
     return lambda batch: np.logical_not(np.asarray(child(batch), dtype=bool))
-
-
-# ---------------------------------------------------------------------------
-# Cost accounting helpers shared by the operators
-# ---------------------------------------------------------------------------
-
-def charge_gather(ctx, n_rows: int, n_columns: int) -> None:
-    """Charge the simulated cost of materialising a selection."""
-    if n_rows and n_columns:
-        ctx.charge_cpu("scan",
-                       ctx.costs.gather_ns_per_value * n_rows * n_columns)
-
-
-def materialize_charged(ctx, batch):
-    """:func:`materialize` plus its simulated gather cost."""
-    if isinstance(batch, SelBatch):
-        charge_gather(ctx, batch.rows(), len(batch.base))
-        return gather(batch.base, batch.sel)
-    return batch

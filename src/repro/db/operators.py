@@ -11,15 +11,16 @@ charges simulated cost to the execution context:
 Each operator has one host implementation, built on the kernels of
 :mod:`repro.db.kernels`.  The execution styles the tutorial contrasts —
 per-row loop, Volcano tuples, vectorized — are cost profiles
-(:class:`~repro.db.context.CostProfile`).  An operator issues named
-charges with their units (``ctx.charge``), and the profile's column of
-:data:`~repro.db.context.PRICE_TABLE` prices them.  Profiles choose
-which code runs in two places only: under ``late_materialization``,
-:class:`SeqScan`'s zone-map survivors and :class:`Filter`'s matches
-travel on as a selection vector instead of being gathered at once.
-This dual nature is what lets the benchmark suite reproduce the
-tutorial's timing tables deterministically while tests validate
-results against SQLite.
+(:class:`~repro.db.context.CostProfile`), and no profile chooses which
+code runs.  An operator issues named charges with their units
+(``ctx.charge``), and the profile's column of
+:data:`~repro.db.context.PRICE_TABLE` prices them.  :class:`SeqScan`'s
+zone-map survivors and :class:`Filter`'s matches travel on as a
+selection vector, which ``ctx.materialize`` gathers where an operator
+reads it; the profile decides only where the gather is charged.  This
+dual nature is what lets the benchmark suite reproduce the tutorial's
+timing tables deterministically while tests validate results against
+SQLite.
 """
 
 from __future__ import annotations
@@ -52,13 +53,9 @@ def _predicate_view(batch, columns: Sequence[str], n: int,
     """The columns an expression needs, gathered if *batch* carries a
     selection vector.  Expressions over no columns (pure literals) get
     a carrier column so their result still has *n* rows."""
-    base, sel = kernels.split_batch(batch)
     if not columns:
         return {"__rows__": np.zeros(n, dtype=np.int8)}
-    if sel is None:
-        return base
-    kernels.charge_gather(ctx, n, len(columns))
-    return kernels.gather(base, sel, list(columns))
+    return ctx.materialize(batch, columns)
 
 
 def _join_schema(node: PlanNode, ctx: ExecutionContext,
@@ -96,11 +93,10 @@ class SeqScan(PlanNode):
     When the planner pushes a filter down onto the scan
     (:attr:`prune_for`), the scan consults the table's zone maps first
     and skips every block the predicate can never match — the pruned
-    blocks' I/O and scan CPU are never charged, and under the
-    ``vectorized`` profile the surviving rows travel as a selection
-    vector so non-filter columns materialise late.  Dictionary-encoded
-    columns read their (smaller) code + dictionary footprint instead of
-    raw values.
+    blocks' I/O and scan CPU are never charged, and the surviving rows
+    travel as a selection vector, so each column is gathered only where
+    an operator reads it.  Dictionary-encoded columns read their
+    (smaller) code + dictionary footprint instead of raw values.
     """
 
     category = "scan"
@@ -190,11 +186,9 @@ class SeqScan(PlanNode):
         base = {name: table.column(name).in_flight for name in names}
         if survivors is None:
             return base
-        if ctx.profile.late_materialization:
-            # Survivors ride as a selection vector until a pipeline
-            # breaker gathers the payload columns.
-            return kernels.SelBatch(base, survivors)
-        return {name: arr[survivors] for name, arr in base.items()}
+        # Survivors ride as a selection vector until an operator reads
+        # the payload columns.
+        return kernels.SelBatch(base, survivors)
 
 
 class Filter(PlanNode):
@@ -269,12 +263,7 @@ class Filter(PlanNode):
             return batch
         base, sel = kernels.split_batch(batch)
         new_sel = np.flatnonzero(mask) if sel is None else sel[mask]
-        if ctx.profile.late_materialization:
-            return kernels.SelBatch(base, new_sel)
-        gathered = int(new_sel.size) * len(base)
-        if gathered:
-            ctx.charge(self, "filter.gather", "scan", gathered)
-        return kernels.gather(base, new_sel)
+        return ctx.select(self, base, new_sel)
 
 
 class Project(PlanNode):
@@ -386,8 +375,8 @@ class HashJoin(PlanNode):
         left, right = child_batches
         require_columns(left, self.left_keys, self.name() + " (left)")
         require_columns(right, self.right_keys, self.name() + " (right)")
-        left = kernels.materialize_charged(ctx, left)
-        right = kernels.materialize_charged(ctx, right)
+        left = ctx.materialize(left)
+        right = ctx.materialize(right)
         n_left, n_right = batch_rows(left), batch_rows(right)
         build_side = self.choose_build_side(ctx)
         n_build = n_left if build_side == "left" else n_right
@@ -586,7 +575,7 @@ class Aggregate(PlanNode):
 
     def _run(self, ctx: ExecutionContext,
              child_batches: List[Batch]) -> Batch:
-        batch = kernels.materialize_charged(ctx, child_batches[0])
+        batch = ctx.materialize(child_batches[0])
         n = batch_rows(batch)
         ctx.charge(self, "group", "hash", n)
         ctx.charge(self, "aggregate", "arithmetic",
@@ -711,8 +700,8 @@ class MergeJoin(PlanNode):
         left, right = child_batches
         require_columns(left, [self.left_key], self.name() + " (left)")
         require_columns(right, [self.right_key], self.name() + " (right)")
-        left = kernels.materialize_charged(ctx, left)
-        right = kernels.materialize_charged(ctx, right)
+        left = ctx.materialize(left)
+        right = ctx.materialize(right)
         # Merging compares values across the two inputs: coded string
         # keys decode here.
         lk = np.asarray(left[self.left_key])
@@ -753,7 +742,7 @@ class Distinct(PlanNode):
 
     def _run(self, ctx: ExecutionContext,
              child_batches: List[Batch]) -> Batch:
-        batch = kernels.materialize_charged(ctx, child_batches[0])
+        batch = ctx.materialize(child_batches[0])
         n = batch_rows(batch)
         ctx.charge(self, "distinct", "hash", n)
         ctx.charge_tuples(n)
@@ -790,7 +779,7 @@ class Sort(PlanNode):
         require_columns(batch, [k for k, __ in self.keys], self.name())
         # Sort is a pipeline breaker: gather any pending selection
         # once, then permute materialised columns.
-        batch = kernels.materialize_charged(ctx, batch)
+        batch = ctx.materialize(batch)
         n = batch_rows(batch)
         if n > 1:
             ctx.charge_cpu("sort", ctx.costs.sort_ns_per_compare

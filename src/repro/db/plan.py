@@ -37,9 +37,9 @@ def batch_rows(batch: Batch) -> int:
 def batch_bytes(batch: Batch) -> int:
     """Approximate bytes a batch occupies (strings estimated at 16B).
 
-    A :class:`~repro.db.kernels.SelBatch` is charged for its selected
-    payload plus the selection vector — deferred materialisation is
-    exactly what keeps this number small for selective filters.
+    A :class:`~repro.db.kernels.SelBatch` counts its selected rows as if
+    gathered; whether its ``sel`` array counts too is the cost profile's
+    call (:meth:`~repro.db.context.ExecutionContext.sel_bytes`).
     """
     if isinstance(batch, SelBatch):
         return batch.bytes_used()
@@ -165,8 +165,9 @@ class PlanNode:
             self.batches = max(1, len(child_batches))
             self.last_est_rows = self.estimated_rows_safe(ctx)
             # Peak working set at this node: inputs + output + auxiliaries.
-            inputs = sum(batch_bytes(b) for b in child_batches)
-            ctx.track_memory(inputs + batch_bytes(batch) + self.aux_bytes)
+            ctx.track_memory(sum(batch_bytes(b) + ctx.sel_bytes(b)
+                                 for b in (*child_batches, batch))
+                             + self.aux_bytes)
             if span is not None:
                 span.set(rows=self.rows_out,
                          self_ms=self.self_seconds * 1000.0,

@@ -7,9 +7,9 @@ runs a 2^4 factorial over
 
 - ``executor``: the ``loop`` (per-row constants) vs ``vectorized``
   (kernel constants) cost profile;
-- ``selvec``: selection vectors off/on (deferred filter
-  materialisation); with ``vectorized``, off selects the
-  ``vectorized-eager`` profile, and ``loop`` never defers;
+- ``selvec``: selection vectors' gathers charged at the filter (off)
+  or where the rows are read (on); with ``vectorized``, off selects
+  the ``vectorized-eager`` profile, and ``loop`` charges no gather;
 - ``cache``: the engine plan cache off/on;
 - ``rows``: input size low/high,
 

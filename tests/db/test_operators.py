@@ -25,6 +25,7 @@ from repro.db import (
     Sort,
     Table,
     Arithmetic,
+    kernels,
 )
 from repro.errors import PlanError
 from repro.measurement import VirtualClock
@@ -88,7 +89,7 @@ class TestFilterProject:
         ctx = make_context(sample_db())
         plan = Filter(SeqScan("emp"),
                       Comparison(">", ColumnRef("salary"), Literal(25.0)))
-        batch = plan.execute(ctx)
+        batch = kernels.materialize(plan.execute(ctx))
         assert list(batch["id"]) == [3, 4, 5, 6]
 
     def test_filter_missing_column(self):
@@ -340,8 +341,8 @@ class TestTupleMode:
         batches = []
         for executor in ("loop", "tuple"):
             ctx = make_context(db, executor)
-            batches.append(Filter(
+            batches.append(kernels.materialize(Filter(
                 SeqScan("emp"),
                 Comparison(">", ColumnRef("salary"), Literal(25.0))
-            ).execute(ctx))
+            ).execute(ctx)))
         assert batches[0]["id"].tolist() == batches[1]["id"].tolist()
