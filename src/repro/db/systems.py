@@ -210,7 +210,9 @@ class DatabaseSystem(abc.ABC):
     # -- plan forcing ----------------------------------------------------
 
     def force_plan(self, sql: str, join_order: Sequence[str]) -> str:
-        """Rewrite *sql* so the backend executes *join_order*.
+        """Rewrite *sql* so the backend executes *join_order*: prepend a
+        ``JOIN_ORDER`` hint comment, which SQLite's translation renders
+        as a CROSS JOIN chain.
 
         Validates eagerly: the order must name exactly the statement's
         tables (fail fast on typos rather than silently comparing
@@ -237,11 +239,7 @@ class DatabaseSystem(abc.ABC):
             raise DatabaseError(
                 f"forced join order {order} must name each of "
                 f"{sorted(tables)} exactly once")
-        return self._apply_force(stripped, order)
-
-    def _apply_force(self, sql: str, order: Tuple[str, ...]) -> str:
-        """Backend-specific rewrite; default prepends a hint comment."""
-        return f"{hint_comment(order)} {sql}"
+        return f"{hint_comment(order)} {stripped}"
 
     # -- comparison support ----------------------------------------------
 
@@ -677,11 +675,6 @@ class SQLiteSystem(DatabaseSystem):
             "journal_mode": pragma("journal_mode"),
             "automatic_index": pragma("automatic_index"),
         }
-
-    def _apply_force(self, sql: str, order: Tuple[str, ...]) -> str:
-        # The hint survives translation: _prepare() sees join_order and
-        # renders the CROSS JOIN chain + pragma toggle.
-        return f"{hint_comment(order)} {sql}"
 
 
 #: The standard three-way contender list for cross-system studies.
