@@ -1,10 +1,11 @@
 """E27 bench — per-backend query latency through the systems layer.
 
-One pytest-benchmark case per backend (MiniDB loop, MiniDB vectorized,
-SQLite) executing the same star query through the
-:class:`~repro.db.systems.DatabaseSystem` interface, plus one forced
-join-order case per backend so plan-forcing overhead (hint parsing,
-SQLite translation, pragma toggling) is gated like any other cost.
+One pytest-benchmark case per host body executing the same star query
+through the :class:`~repro.db.systems.DatabaseSystem` interface, plus
+one forced join-order case per body so plan-forcing overhead (hint
+parsing, SQLite translation, pragma toggling) is gated like any other
+cost.  The bodies are ``minidb-loop`` and ``sqlite``: MiniDB's cost
+profiles run the same host code and differ only in what they charge.
 
 Every case tags ``benchmark.extra_info["backend"]`` with the system
 name; ``scripts/bench_gate.py`` carries the tag into
@@ -30,7 +31,7 @@ def _loaded(name):
     return system
 
 
-_BACKENDS = ("minidb-loop", "minidb-vectorized", "sqlite")
+_BACKENDS = ("minidb-loop", "sqlite")
 
 
 @pytest.mark.parametrize("backend", _BACKENDS)
