@@ -22,11 +22,9 @@ from repro.db import (
     Engine,
     EngineConfig,
     Histogram,
-    OperatorCost,
     PlannerOptions,
     StatisticsCatalog,
     Table,
-    TableStats,
     calibrate_cost_model,
     combine_conjuncts,
     enumerate_join_orders,

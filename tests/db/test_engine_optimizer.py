@@ -9,8 +9,6 @@ from repro.db import (
     Engine,
     EngineConfig,
     FileSink,
-    HashJoin,
-    NestedLoopJoin,
     PlannerOptions,
     SeqScan,
     Table,

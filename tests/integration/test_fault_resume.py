@@ -11,7 +11,6 @@ campaign's :class:`~repro.measurement.results.ResultSet` byte for byte.
 import pytest
 
 from repro.core import TwoLevelFactorialDesign
-from repro.errors import RetryExhaustedError
 from repro.experiments.e21_fault_tolerance import (
     FaultyQueryWorkload,
     make_space,

@@ -15,7 +15,6 @@ from repro.db import (
     FileSink,
     Table,
 )
-from repro.errors import TransientDiskError
 from repro.faults import FaultPlan
 from repro.measurement.clocks import VirtualClock
 from repro.measurement.protocol import RunProtocol, State
