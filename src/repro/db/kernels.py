@@ -151,15 +151,6 @@ class SelBatch:
     def __len__(self) -> int:
         return len(self.base)
 
-    def column(self, name: str) -> np.ndarray:
-        """One column, gathered through the selection vector."""
-        try:
-            return self.base[name][self.sel]
-        except KeyError:
-            raise PlanError(
-                f"column {name!r} not in batch "
-                f"({sorted(self.base)})") from None
-
     def bytes_used(self) -> int:
         """The selected rows' payload, as if gathered."""
         n = self.rows()

@@ -20,10 +20,6 @@ class TestSelBatch:
         assert "a" in sb and "z" not in sb
         assert sorted(sb) == ["a", "b"]
 
-    def test_column_gathers(self):
-        sb = kernels.SelBatch(self.base(), np.array([0, 9]))
-        np.testing.assert_array_equal(sb.column("a"), [0, 9])
-
     def test_materialize_dict_passthrough(self):
         base = self.base()
         assert kernels.materialize(base) is base
