@@ -10,6 +10,12 @@ The introspection surface follows the tutorial's advice (slides 28, 52):
 - :meth:`Engine.profile` — phase + per-operator timing breakdown;
 - :meth:`Engine.trace` — per-operator rows/time lines after execution.
 
+A statement takes one path from text to plan: it is tokenized once,
+looked up in the plan cache (when on) by its tokens, and on a miss
+parsed from those tokens and planned.  :meth:`Engine.plan` and
+:meth:`Engine.explain` take the same path, but only an execution
+charges it to the virtual clock.
+
 ``Engine.make_cold()`` flushes the buffer pool — the hook cold run
 protocols need.
 """
@@ -21,13 +27,13 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.db import kernels
 from repro.db.buffer import BufferPool
-from repro.db.context import COST_PROFILES, ExecutionContext, cost_profile
+from repro.db.context import COST_PROFILES, COSTS, ExecutionContext, cost_profile
 from repro.db.disk import DiskModel
 from repro.db.indexes import HashIndex, IndexCatalog
 from repro.db.costmodel import CostModel
 from repro.db.actuals import PlanActuals
 from repro.db.optimizer import PlannerOptions, count_plan_nodes, plan_statement
-from repro.db.parser import normalize_sql, parse_select, strip_explain
+from repro.db.parser import parse_select, strip_explain, token_key, tokenize
 from repro.db.plan import PlanNode
 from repro.db.profiler import ProfileReport
 from repro.db.statistics import DEFAULT_BUCKETS, StatisticsCatalog
@@ -65,8 +71,9 @@ class EngineConfig:
     #: (kernel constants, each filter charged the gather of its matches).
     executor: str = "loop"
     #: Reuse physical plans across textually-equivalent statements
-    #: (keyed on normalised SQL + catalog versions).  Off by default so
-    #: profiling still observes parse/optimize phases.
+    #: (keyed on the statement's tokens, for the current catalog
+    #: versions).  Off by default so profiling still observes
+    #: parse/optimize phases.
     plan_cache: bool = False
     #: Planner generation: "heuristic" (v1, textual join order) or
     #: "cost" (v2, join-order enumeration + calibrated operator costs;
@@ -178,6 +185,10 @@ def _format_value(value: Any) -> str:
     return str(value)
 
 
+def _unmeasured(*__: Any) -> None:
+    """Planning outside an execution charges and samples nothing."""
+
+
 class Engine:
     """A configured MiniDB instance over one database.
 
@@ -224,8 +235,10 @@ class Engine:
         #: Optimizer statistics (ANALYZE output); versioned so the plan
         #: cache invalidates when estimates change.
         self.table_stats = StatisticsCatalog()
-        # Plan cache: normalised SQL + catalog versions -> physical plan.
-        self._plan_cache: Dict[Tuple[Any, int, int, int], PlanNode] = {}
+        # Plan cache: statement tokens (token_key) -> physical plan,
+        # built under the catalog versions in _plan_cache_versions.
+        self._plan_cache: Dict[Tuple[Tuple[str, str], ...], PlanNode] = {}
+        self._plan_cache_versions: Optional[Tuple[int, int, int]] = None
         self.plan_cache_hits = 0
         self.plan_cache_misses = 0
         #: Per-operator actuals of the most recent execution
@@ -282,39 +295,74 @@ class Engine:
 
     # -- query interface ---------------------------------------------------
 
-    def _cache_key(self, sql: str) -> Tuple[Any, int, int, int]:
-        """Cache key: normalised tokens + catalog versions, so any DDL,
-        index change or statistics refresh (ANALYZE) invalidates every
-        dependent plan."""
-        return (normalize_sql(sql), self.database.version,
-                self.indexes.version, self.table_stats.version)
+    def _prepare(self, sql: str, ctx: Optional[ExecutionContext] = None
+                 ) -> Tuple[PlanNode, Optional[bool], Tuple[Any, Any]]:
+        """The one path from SQL text to a physical plan, behind
+        :meth:`profile`, :meth:`plan` and :meth:`explain`:
+        ``(plan, hit, marks)``, *hit* None when the plan cache is off.
 
-    def _build_plan(self, sql: str) -> PlanNode:
-        statement = parse_select(sql)
-        return plan_statement(statement, self.database,
-                              self.config.planner_options(),
-                              indexes=self.indexes,
-                              stats=self.table_stats,
-                              cost_model=self.config.cost_model,
-                              cache=self.planner_cache)
+        The statement is tokenized once: its tokens are the cache key,
+        and a miss hands them to the parser.  Plans cached under older
+        catalog versions are dropped first; versions only grow, so they
+        could never hit again.  Only an execution passes its *ctx*,
+        which is charged the lookup, parse and optimize; *marks* are
+        then the clock samples after parse and after optimize, and
+        ``(None, None)`` otherwise.
+        """
+        charge = ctx.charge_cpu if ctx is not None else _unmeasured
+        mark = self.clock.sample if ctx is not None else _unmeasured
+        tokens = key = plan = hit = None
+        if self.config.plan_cache:
+            with maybe_span("engine.plan_cache", "engine") as cache_span:
+                charge("arithmetic", COSTS.plan_cache_lookup_ns)
+                tokens = tokenize(sql)
+                versions = (self.database.version, self.indexes.version,
+                            self.table_stats.version)
+                if versions != self._plan_cache_versions:
+                    self._plan_cache.clear()
+                    self._plan_cache_versions = versions
+                key = token_key(tokens)
+                plan = self._plan_cache.get(key)
+                hit = plan is not None
+                if hit:
+                    self.plan_cache_hits += 1
+                else:
+                    self.plan_cache_misses += 1
+                if cache_span is not None:
+                    cache_span.set(hit=hit)
+        if plan is not None:
+            # Cached plan: the parse and optimize phases collapse to
+            # the (already charged) lookup.
+            after = mark()
+            return plan, hit, (after, after)
 
-    def _plan_cached(self, sql: str) -> Tuple[PlanNode, Optional[bool]]:
-        """``(plan, cache_hit)``; hit is None when caching is off."""
-        if not self.config.plan_cache:
-            return self._build_plan(sql), None
-        key = self._cache_key(sql)
-        cached = self._plan_cache.get(key)
-        if cached is not None:
-            self.plan_cache_hits += 1
-            return cached, True
-        self.plan_cache_misses += 1
-        plan = self._build_plan(sql)
-        self._plan_cache[key] = plan
-        return plan, False
+        with maybe_span("engine.parse", "engine"):
+            charge("arithmetic", COSTS.parse_ns_per_char * len(sql))
+            statement = parse_select(sql, tokens)
+        after_parse = mark()
+
+        with maybe_span("engine.optimize", "engine"):
+            plan = plan_statement(statement, self.database,
+                                  self.config.planner_options(),
+                                  indexes=self.indexes,
+                                  stats=self.table_stats,
+                                  cost_model=self.config.cost_model,
+                                  cache=self.planner_cache)
+            # The cost-based planner pays per plan it enumerated on top
+            # of the per-node construction cost; heuristic plans carry
+            # no optimizer_info, so their charge is unchanged.
+            info = getattr(plan, "optimizer_info", None)
+            considered = info["plans_considered"] if info else 0
+            charge("arithmetic", COSTS.optimize_ns_per_node
+                   * (count_plan_nodes(plan) + considered))
+        after_optimize = mark()
+        if key is not None:
+            self._plan_cache[key] = plan
+        return plan, hit, (after_parse, after_optimize)
 
     def plan(self, sql: str) -> PlanNode:
         """Parse and plan without executing (plan-cache aware)."""
-        return self._plan_cached(sql)[0]
+        return self._prepare(sql)[0]
 
     def explain(self, sql: str) -> str:
         """EXPLAIN: the physical plan with cardinality estimates, the
@@ -327,7 +375,7 @@ class Engine:
         mode, sql = strip_explain(sql)
         if mode == "analyze":
             return self.explain_analyze(sql)
-        plan, hit = self._plan_cached(sql)
+        plan, hit, __ = self._prepare(sql)
         text = plan.explain(self._context())
         if hit is not None:
             status = "hit" if hit else "miss"
@@ -374,54 +422,8 @@ class Engine:
         if self.faults is not None:
             self.faults.tick("engine.execute")
         ctx = self._context()
-        costs = ctx.costs
-
         start = self.clock.sample()
-        plan: Optional[PlanNode] = None
-        cache_key = None
-        if self.config.plan_cache:
-            with maybe_span("engine.plan_cache", "engine") as cache_span:
-                ctx.charge_cpu("arithmetic", costs.plan_cache_lookup_ns)
-                cache_key = self._cache_key(sql)
-                plan = self._plan_cache.get(cache_key)
-                if plan is not None:
-                    self.plan_cache_hits += 1
-                else:
-                    self.plan_cache_misses += 1
-                if cache_span is not None:
-                    cache_span.set(hit=plan is not None)
-
-        if plan is not None:
-            # Cached plan: the parse and optimize phases collapse to
-            # the (already charged) lookup.
-            after_parse = self.clock.sample()
-            after_optimize = after_parse
-        else:
-            with maybe_span("engine.parse", "engine"):
-                ctx.charge_cpu("arithmetic",
-                               costs.parse_ns_per_char * len(sql))
-                statement = parse_select(sql)
-            after_parse = self.clock.sample()
-
-            with maybe_span("engine.optimize", "engine"):
-                plan = plan_statement(statement, self.database,
-                                      self.config.planner_options(),
-                                      indexes=self.indexes,
-                                      stats=self.table_stats,
-                                      cost_model=self.config.cost_model,
-                                      cache=self.planner_cache)
-                # The cost-based planner pays per plan it enumerated on
-                # top of the per-node construction cost; heuristic plans
-                # carry no optimizer_info, so their charge is unchanged.
-                info = getattr(plan, "optimizer_info", None)
-                considered = info["plans_considered"] if info else 0
-                ctx.charge_cpu(
-                    "arithmetic",
-                    costs.optimize_ns_per_node
-                    * (count_plan_nodes(plan) + considered))
-            after_optimize = self.clock.sample()
-            if cache_key is not None:
-                self._plan_cache[cache_key] = plan
+        plan, __, (after_parse, after_optimize) = self._prepare(sql, ctx)
 
         with maybe_span("engine.execute", "engine") as execute_span:
             batch = plan.execute(ctx)

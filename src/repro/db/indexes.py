@@ -79,8 +79,8 @@ class IndexCatalog:
 
     def __init__(self):
         self._indexes: Dict[Tuple[str, str], HashIndex] = {}
-        #: Bumped on create/drop; part of the plan-cache key, since an
-        #: index change can flip the optimizer's access-path choice.
+        #: Bumped on create/drop; a move clears the plan cache, since
+        #: an index change can flip the optimizer's access-path choice.
         self.version = 0
 
     def create(self, table: Table, column_name: str) -> HashIndex:

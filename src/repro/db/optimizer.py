@@ -115,7 +115,7 @@ class PlannerOptions:
 def _referenced_columns(statement: SelectStatement) -> Set[str]:
     """Every column name the statement touches outside join conditions.
 
-    Join-key columns are resolved separately (see :func:`_resolve_join`)
+    Join-key columns are resolved separately (see :func:`resolve_join`)
     because the same key name may legitimately appear on both sides of an
     equi-join.
     """
@@ -144,13 +144,15 @@ def _unnamed_order_keys(statement: SelectStatement) -> List[str]:
             if column not in outputs]
 
 
-def _resolve_join(database: Database, join, available: Sequence[str]
-                  ) -> Tuple[str, str, str]:
+def resolve_join(database: Database, join, available: Sequence[str]
+                 ) -> Tuple[str, str, str]:
     """Orient one join clause.
 
     Returns ``(left_col, left_owner, right_col)`` where ``left_col``
     comes from the tables joined so far and ``right_col`` from the new
-    table.  Handles both orientations and same-named keys.
+    table.  Handles both orientations and same-named keys.  The
+    heuristic planner and the SQLite renderer
+    (:mod:`repro.db.systems`) both orient joins by this rule.
     """
     new = join.table
     a, b = join.left_column, join.right_column
@@ -179,6 +181,40 @@ def _resolve_join(database: Database, join, available: Sequence[str]
     raise PlanError(
         f"cannot orient join condition {a}={b}: one side must come from "
         f"{list(available)} and the other from {new!r}")
+
+
+def _bind(statement: SelectStatement, database: Database,
+          pushdown: bool = True
+          ) -> Tuple[Dict[str, str], Dict[str, Set[str]],
+                     Dict[str, List[Expr]],
+                     List[Tuple[Expr, FrozenSet[str]]]]:
+    """Bind the statement's column names to its tables, for both
+    planners: ``(ownership, per_table_columns, pushed, residual)``.
+
+    *ownership* maps every column referenced outside the join clauses
+    to the one table that has it (ambiguity raises), and
+    *per_table_columns* groups those columns by table; each planner
+    adds the join keys.  WHERE splits into conjuncts *pushed* down to
+    the one table they reference (only with *pushdown*) and *residual*
+    conjuncts, each with the tables it references.
+    """
+    tables = statement.tables
+    ownership: Dict[str, str] = {}
+    for column in _referenced_columns(statement):
+        ownership[column], __ = database.resolve_column(column, tables)
+    per_table_columns: Dict[str, Set[str]] = {t: set() for t in tables}
+    for column, owner in ownership.items():
+        per_table_columns[owner].add(column)
+    pushed: Dict[str, List[Expr]] = {t: [] for t in tables}
+    residual: List[Tuple[Expr, FrozenSet[str]]] = []
+    if statement.where is not None:
+        for conjunct in split_conjuncts(statement.where):
+            owners = frozenset(ownership[c] for c in conjunct.columns())
+            if pushdown and len(owners) == 1:
+                pushed[next(iter(owners))].append(conjunct)
+            else:
+                residual.append((conjunct, owners))
+    return ownership, per_table_columns, pushed, residual
 
 
 def plan_statement(statement: SelectStatement, database: Database,
@@ -217,39 +253,19 @@ def _plan_heuristic(statement: SelectStatement, database: Database,
     options are tuned, a selective indexable equality conjunct turns the
     base access path into an :class:`~repro.db.indexes.IndexScan`.
     """
-    tables = statement.tables
-
-    # Which table owns each referenced column (must be unambiguous).
-    ownership: Dict[str, str] = {}
-    for column in _referenced_columns(statement):
-        owner, __ = database.resolve_column(column, tables)
-        ownership[column] = owner
-
-    per_table_columns: Dict[str, Set[str]] = {t: set() for t in tables}
-    for column, owner in ownership.items():
-        per_table_columns[owner].add(column)
+    __, per_table_columns, pushed, residual = _bind(
+        statement, database, options.pushdown)
 
     # Orient join clauses and account their key columns per table.
     oriented: List[Tuple[str, str, str]] = []  # (left_col, left_owner, right_col)
     available: List[str] = [statement.table]
     for join in statement.joins:
-        left_col, left_owner, right_col = _resolve_join(
+        left_col, left_owner, right_col = resolve_join(
             database, join, available)
         oriented.append((left_col, left_owner, right_col))
         per_table_columns[left_owner].add(left_col)
         per_table_columns[join.table].add(right_col)
         available.append(join.table)
-
-    # Split WHERE into pushable and residual conjuncts.
-    pushed: Dict[str, List[Expr]] = {t: [] for t in tables}
-    residual: List[Expr] = []
-    if statement.where is not None:
-        for conjunct in split_conjuncts(statement.where):
-            owners = {ownership[c] for c in conjunct.columns()}
-            if options.pushdown and len(owners) == 1:
-                pushed[owners.pop()].append(conjunct)
-            else:
-                residual.append(conjunct)
 
     def scan_for(table: str) -> PlanNode:
         columns: Optional[List[str]] = None
@@ -289,7 +305,7 @@ def _plan_heuristic(statement: SelectStatement, database: Database,
             plan = NestedLoopJoin(plan, right, [left_col], [right_col])
 
     if residual:
-        plan = Filter(plan, conjoin(residual))
+        plan = Filter(plan, conjoin([c for c, __ in residual]))
     return _plan_tail(statement, plan)
 
 
@@ -722,30 +738,13 @@ def _plan_cost_based(statement: SelectStatement, database: Database,
     hints = statement.hints
     tables = statement.tables
 
-    ownership: Dict[str, str] = {}
-    for column in _referenced_columns(statement):
-        owner, __ = database.resolve_column(column, tables)
-        ownership[column] = owner
-    per_table_columns: Dict[str, Set[str]] = {t: set() for t in tables}
-    for column, owner in ownership.items():
-        per_table_columns[owner].add(column)
-
+    # Pushdown is always on in the cost-based planner.
+    ownership, per_table_columns, pushed, residual = _bind(statement,
+                                                           database)
     edges = _join_edges(statement, database)
     for table_a, col_a, table_b, col_b in edges:
         per_table_columns[table_a].add(col_a)
         per_table_columns[table_b].add(col_b)
-
-    # Pushdown is always on in the cost-based planner; only the split
-    # between single-table (pushed) and multi-table (residual) matters.
-    pushed: Dict[str, List[Expr]] = {t: [] for t in tables}
-    residual: List[Tuple[Expr, FrozenSet[str]]] = []
-    if statement.where is not None:
-        for conjunct in split_conjuncts(statement.where):
-            owners = frozenset(ownership[c] for c in conjunct.columns())
-            if len(owners) == 1:
-                pushed[next(iter(owners))].append(conjunct)
-            else:
-                residual.append((conjunct, owners))
 
     scans = _collect_scan_info(statement, database, per_table_columns,
                                pushed, estimator, model, indexes)

@@ -12,12 +12,17 @@ Supported grammar (one SELECT statement, no nesting)::
 
 Select items are expressions with optional ``AS alias``, or aggregates
 ``SUM|AVG|MIN|MAX(expr)`` and ``COUNT(*)``/``COUNT(expr)``.  Predicates
-support comparison operators, ``AND``/``OR``/``NOT``, ``BETWEEN``,
-``IN (...)``, ``LIKE``, arithmetic, numeric/string literals, and
-``DATE 'YYYY-MM-DD'`` literals.
+support comparison operators, ``AND``/``OR``/``NOT``, ``[NOT] BETWEEN``,
+``[NOT] IN (...)``, ``[NOT] LIKE``, arithmetic, numeric/string
+literals, and ``DATE 'YYYY-MM-DD'`` literals.  ``x NOT IN (...)``
+parses as ``NOT (x IN (...))``.  Qualified names (``t.col``) and
+``IS [NOT] NULL`` are not part of the dialect.
 
-The parser builds a :class:`SelectStatement`; planning happens in
-:mod:`repro.db.optimizer`.
+:func:`tokenize` lower-cases keywords, so a statement's tokens,
+``(kind, text)`` each (:func:`token_key`), are its plan-cache key.  The
+engine tokenizes a statement once and hands the same tokens to
+:func:`parse_select`.  The parser builds a :class:`SelectStatement`;
+planning happens in :mod:`repro.db.optimizer`.
 """
 
 from __future__ import annotations
@@ -68,7 +73,10 @@ class Token:
 
 
 def tokenize(sql: str) -> List[Token]:
-    """Split SQL text into tokens; raises on unrecognised characters."""
+    """Split SQL text into tokens; raises on unrecognised characters.
+
+    Keywords come out lower-cased, identifiers and literals verbatim.
+    """
     tokens: List[Token] = []
     pos = 0
     while pos < len(sql):
@@ -80,31 +88,34 @@ def tokenize(sql: str) -> List[Token]:
             raise SqlSyntaxError(
                 f"unexpected character {remainder[0]!r} at position {pos}")
         pos = match.end()
-        if match.group("hint") is not None:
+        kind = match.lastgroup
+        text = match.group(kind)
+        if kind == "ident":
+            lowered = text.lower()
+            if lowered in _KEYWORDS:
+                kind, text = "keyword", lowered
+        elif kind == "string":
+            text = text[1:-1].replace("''", "'")
+        elif kind == "op":
+            if text == "!=":
+                text = "<>"
+        elif kind == "hint":
             # /*+ ... */ plan hints survive tokenization (and thus the
-            # normalised plan-cache key); the canonical text collapses
-            # whitespace so formatting never splits the cache.
-            body = match.group("hint")[3:-2]
-            tokens.append(Token("hint", " ".join(body.split()),
-                                match.start()))
-        elif match.group("comment") is not None:
-            pass  # plain /* ... */ comments are skipped entirely
-        elif match.group("number") is not None:
-            tokens.append(Token("number", match.group("number"),
-                                match.start()))
-        elif match.group("string") is not None:
-            raw = match.group("string")[1:-1].replace("''", "'")
-            tokens.append(Token("string", raw, match.start()))
-        elif match.group("ident") is not None:
-            text = match.group("ident")
-            kind = "keyword" if text.lower() in _KEYWORDS else "ident"
-            tokens.append(Token(kind, text, match.start()))
-        else:
-            op = match.group("op")
-            tokens.append(Token("op", "<>" if op == "!=" else op,
-                                match.start()))
+            # plan-cache key); the canonical text collapses whitespace
+            # so formatting never splits the cache.
+            text = " ".join(text[3:-2].split())
+        elif kind == "comment":
+            continue  # plain /* ... */ comments are skipped entirely
+        tokens.append(Token(kind, text, match.start()))
     tokens.append(Token("eof", "", len(sql)))
     return tokens
+
+
+def token_key(tokens: Sequence[Token]) -> Tuple[Tuple[str, str], ...]:
+    """The plan-cache key of a tokenized statement: each token's
+    ``(kind, text)``, positions dropped so formatting never splits the
+    cache."""
+    return tuple((t.kind, t.text) for t in tokens)
 
 
 def normalize_sql(sql: str) -> Tuple[Tuple[str, str], ...]:
@@ -113,11 +124,9 @@ def normalize_sql(sql: str) -> Tuple[Tuple[str, str], ...]:
     Two statements normalise equal iff they tokenize to the same
     sequence: keywords compare case-folded, identifiers and literals
     verbatim (``WHERE city = 'Uppsala'`` must not match ``'uppsala'``).
-    Token positions are dropped so formatting never splits the cache.
+    This is the key :class:`~repro.db.engine.Engine` caches plans on.
     """
-    return tuple(
-        (t.kind, t.text.lower() if t.kind == "keyword" else t.text)
-        for t in tokenize(sql))
+    return token_key(tokenize(sql))
 
 
 _EXPLAIN_RE = re.compile(r"^\s*explain(\s+analyze)?\b\s*",
@@ -297,9 +306,8 @@ class SelectStatement:
 class _Parser:
     """Recursive-descent parser over the token stream."""
 
-    def __init__(self, sql: str):
+    def __init__(self, sql: str, tokens: Sequence[Token]):
         self.sql = sql
-        tokens = tokenize(sql)
         # Hints may appear anywhere a comment may; gather them all and
         # parse the grammar over the remaining token stream.
         hint_text = " ".join(t.text for t in tokens if t.kind == "hint")
@@ -325,7 +333,7 @@ class _Parser:
 
     def accept_keyword(self, word: str) -> bool:
         token = self.peek()
-        if token.kind == "keyword" and token.text.lower() == word:
+        if token.kind == "keyword" and token.text == word:
             self.next()
             return True
         return False
@@ -405,8 +413,8 @@ class _Parser:
     def _select_item(self, position: int) -> SelectItem:
         token = self.peek()
         if token.kind == "keyword" and \
-                token.text.lower() in ("sum", "count", "avg", "min", "max"):
-            func = AggFunc(self.next().text.lower())
+                token.text in ("sum", "count", "avg", "min", "max"):
+            func = AggFunc(self.next().text)
             self.expect_op("(")
             if func is AggFunc.COUNT and self.accept_op("*"):
                 expr: Optional[Expr] = None
@@ -492,28 +500,27 @@ class _Parser:
                                                  ">", ">="):
             op = self.next().text
             return Comparison(op, left, self._additive())
-        if token.kind == "keyword":
-            word = token.text.lower()
-            if word == "between":
-                self.next()
-                low = self._additive()
-                self.expect_keyword("and")
-                return Between(left, low, self._additive())
-            if word == "in":
-                self.next()
-                self.expect_op("(")
-                values = [self._literal_value()]
-                while self.accept_op(","):
-                    values.append(self._literal_value())
-                self.expect_op(")")
-                return InList(left, tuple(values))
-            if word == "like":
-                self.next()
-                token = self.peek()
-                if token.kind != "string":
-                    raise self.error("LIKE expects a string pattern")
-                return Like(left, self.next().text)
-        return left
+        negated = self.accept_keyword("not")
+        if self.accept_keyword("between"):
+            low = self._additive()
+            self.expect_keyword("and")
+            predicate: Expr = Between(left, low, self._additive())
+        elif self.accept_keyword("in"):
+            self.expect_op("(")
+            values = [self._literal_value()]
+            while self.accept_op(","):
+                values.append(self._literal_value())
+            self.expect_op(")")
+            predicate = InList(left, tuple(values))
+        elif self.accept_keyword("like"):
+            if self.peek().kind != "string":
+                raise self.error("LIKE expects a string pattern")
+            predicate = Like(left, self.next().text)
+        elif negated:
+            raise self.error("expected BETWEEN, IN or LIKE after NOT")
+        else:
+            return left
+        return Not(predicate) if negated else predicate
 
     def _literal_value(self) -> Any:
         negative = self.accept_op("-")
@@ -554,8 +561,7 @@ class _Parser:
             return Literal(value)
         if token.kind == "string":
             return Literal(self.next().text)
-        if token.kind == "keyword" and token.text.lower() == "date":
-            self.next()
+        if self.accept_keyword("date"):
             token = self.peek()
             if token.kind != "string":
                 raise self.error("DATE expects a 'YYYY-MM-DD' string")
@@ -574,8 +580,15 @@ class _Parser:
         raise self.error("expected an expression")
 
 
-def parse_select(sql: str) -> SelectStatement:
-    """Parse one SELECT statement."""
+def parse_select(sql: str,
+                 tokens: Optional[Sequence[Token]] = None) -> SelectStatement:
+    """Parse one SELECT statement.
+
+    *tokens* is ``tokenize(sql)`` when the caller already has it (the
+    engine, which keys its plan cache on them), so the text is
+    tokenized once.
+    """
     if not sql or not sql.strip():
         raise SqlSyntaxError("empty SQL text")
-    return _Parser(sql).parse()
+    return _Parser(sql, tokens if tokens is not None
+                   else tokenize(sql)).parse()

@@ -224,15 +224,14 @@ class StatisticsCatalog:
     """Registry of per-table statistics, versioned for plan caching.
 
     ``analyze`` re-collects statistics (all tables or a subset) and
-    bumps :attr:`version`; the engine includes the version in its
-    plan-cache key, so any cached plan built from stale statistics is
-    re-planned on its next use (tested in
-    ``tests/db/test_plan_cache.py``).
+    bumps :attr:`version`; the engine drops its cached plans when the
+    version moves, so a plan built from stale statistics is re-planned
+    on its next use (tested in ``tests/db/test_plan_cache.py``).
     """
 
     def __init__(self):
         self._tables: Dict[str, TableStats] = {}
-        #: Bumped on every analyze; part of the plan-cache key.
+        #: Bumped on every analyze; a move clears the plan cache.
         self.version = 0
         #: Cardinality correction hints from execution feedback
         #: (:mod:`repro.db.feedback`): plan-shape signature → observed

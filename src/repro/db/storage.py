@@ -362,8 +362,8 @@ class Database:
     def __init__(self, name: str = "minidb"):
         self.name = name
         self._tables: Dict[str, Table] = {}
-        #: Bumped on every DDL change; cached plans are keyed on it so a
-        #: CREATE/DROP TABLE invalidates them without a scan.
+        #: Bumped on every DDL change; a move clears the plan cache, so
+        #: a CREATE/DROP TABLE invalidates cached plans without a scan.
         self.version = 0
 
     def create_table(self, table: Table) -> None:

@@ -49,6 +49,7 @@ from repro.db.expressions import (
     Literal,
     Not,
 )
+from repro.db.optimizer import resolve_join
 from repro.db.parser import (
     SelectStatement,
     hint_comment,
@@ -386,41 +387,17 @@ class _SqliteRenderer:
         return f"{owner}.{column}"
 
     def _join_predicates(self) -> List[str]:
+        """Each join clause as qualified ``prior = new`` text, oriented
+        by the planner's own rule (:func:`~repro.db.optimizer.
+        resolve_join`)."""
         preds = []
         available = [self.statement.table]
         for join in self.statement.joins:
-            left, right = self._orient_join(join, available)
-            preds.append(f"{left} = {right}")
+            left_col, owner, right_col = resolve_join(self.database, join,
+                                                      available)
+            preds.append(f"{owner}.{left_col} = {join.table}.{right_col}")
             available.append(join.table)
         return preds
-
-    def _orient_join(self, join, available: Sequence[str]
-                     ) -> Tuple[str, str]:
-        """Qualified (prior-table column, new-table column), mirroring
-        the MiniDB optimizer's orientation rules."""
-        new = join.table
-        a, b = join.left_column, join.right_column
-
-        def owners(col: str) -> List[str]:
-            return [t for t in available
-                    if self.database.table(t).has_column(col)]
-
-        def in_new(col: str) -> bool:
-            return self.database.table(new).has_column(col)
-
-        if a == b:
-            prior = owners(a)
-            if len(prior) != 1 or not in_new(a):
-                raise DatabaseError(
-                    f"cannot orient join key {a!r} between {new!r} "
-                    f"and {list(available)}")
-            return f"{prior[0]}.{a}", f"{new}.{a}"
-        for left_col, right_col in ((a, b), (b, a)):
-            prior = owners(left_col)
-            if len(prior) == 1 and in_new(right_col):
-                return f"{prior[0]}.{left_col}", f"{new}.{right_col}"
-        raise DatabaseError(
-            f"cannot orient join {a} = {b} adding table {new!r}")
 
     # -- expressions -----------------------------------------------------
 
@@ -483,17 +460,14 @@ class _SqliteRenderer:
     def _from_clause(self) -> Tuple[str, List[str]]:
         """(FROM text, predicates that must move into WHERE)."""
         order = self.statement.hints.join_order
+        preds = self._join_predicates()
         if not order:
-            text = self.statement.table
-            available = [self.statement.table]
-            for join in self.statement.joins:
-                left, right = self._orient_join(join, available)
-                text += f" JOIN {join.table} ON {left} = {right}"
-                available.append(join.table)
-            return text, []
+            return self.statement.table + "".join(
+                f" JOIN {join.table} ON {pred}"
+                for join, pred in zip(self.statement.joins, preds)), []
         # Forced order: CROSS JOIN pins SQLite's join order; every join
         # predicate becomes a WHERE conjunct.
-        return " CROSS JOIN ".join(order), self._join_predicates()
+        return " CROSS JOIN ".join(order), preds
 
     def render(self) -> str:
         s = self.statement

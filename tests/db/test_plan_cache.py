@@ -10,8 +10,11 @@ from repro.db import (
     EngineConfig,
     Table,
     normalize_sql,
+    parser,
 )
+from repro.db import engine as engine_module
 from repro.errors import DatabaseError
+from repro.obs import Tracer
 
 
 def make_db(n_t=1000, n_r=100):
@@ -112,6 +115,60 @@ class TestPlanCache:
     def test_explain_silent_when_cache_off(self):
         engine = Engine(make_db(), EngineConfig())
         assert "plan cache" not in engine.explain(SQL)
+
+    def test_analyze_drops_stale_plans(self):
+        # A plan built under older catalog versions can never hit again.
+        engine = self.engine()
+        engine.execute(SQL)
+        engine.analyze()
+        engine.execute(SQL)
+        stats = engine.statistics()
+        assert stats["plan_cache_misses"] == 2
+        assert stats["plan_cache_size"] == 1
+        assert engine.explain(SQL).startswith(
+            "-- plan cache: hit (1 entries)")
+
+    def test_each_statement_tokenized_once(self, monkeypatch):
+        calls = []
+        tokenize = parser.tokenize
+
+        def counted(sql):
+            calls.append(sql)
+            return tokenize(sql)
+
+        monkeypatch.setattr(parser, "tokenize", counted)
+        monkeypatch.setattr(engine_module, "tokenize", counted,
+                            raising=False)
+        engine = self.engine()
+        statements = [SQL, "SELECT k FROM t WHERE k < 5", SQL,
+                      "select k from t where k < 5",
+                      "SELECT k FROM t JOIN r ON k = pk", SQL]
+        for sql in statements:
+            engine.execute(sql)
+        stats = engine.statistics()
+        assert (stats["plan_cache_misses"], stats["plan_cache_hits"]) == \
+            (3, 3)
+        assert len(calls) == len(statements)
+
+    @pytest.mark.parametrize("plan_cache", [True, False],
+                             ids=["cache", "no_cache"])
+    def test_plan_and_explain_charge_nothing(self, plan_cache):
+        # They take the executed statements' path, spans included, but
+        # only an execution is charged for it.
+        engine = self.engine(plan_cache=plan_cache, optimizer="cost")
+        before = engine.clock.sample()
+        tracer = Tracer(clock=engine.clock)
+        with tracer.activate():
+            for __ in range(2):  # a miss, then a hit
+                engine.plan(SQL)
+                engine.explain("SELECT k FROM t JOIN r ON k = pk")
+        assert engine.clock.sample() == before
+        spans = tracer.trace()
+        names = {"engine.parse", "engine.optimize"}
+        if plan_cache:
+            names.add("engine.plan_cache")
+        assert {span.name for span in spans} == names
+        assert all(span.duration_s == 0.0 for span in spans)
 
 
 class TestExplainKernelAnnotations:

@@ -28,7 +28,7 @@ from repro.db import (
     results_match,
 )
 from repro.db.systems import SQLiteSystem
-from repro.errors import PlanError
+from repro.errors import PlanError, SqlSyntaxError
 from tests.db.reference import check
 
 
@@ -221,6 +221,77 @@ class TestPredicateNulls:
         rows = check(db, "SELECT COUNT(*) AS n FROM t WHERE x <> 3",
                      zone_maps=zone_maps)
         assert rows == ((3066,),)
+
+
+def _postfix_not_db(n: int = 3_000):
+    """*n* rows; about a fifth of ``x`` is NULL."""
+    rng = np.random.default_rng(29)
+    x = rng.integers(0, 10, n).astype(np.float64)
+    x[rng.random(n) < 0.2] = np.nan
+    db = Database(name="postfix_not")
+    db.create_table(Table.from_columns(
+        "t", [("id", DataType.INT64), ("a", DataType.INT64),
+              ("s", DataType.STRING), ("x", DataType.FLOAT64)],
+        {"id": np.arange(n, dtype=np.int64),
+         "a": rng.integers(0, 5, n),
+         "s": rng.choice(["xa", "xb", "ya", "zb"], n),
+         "x": x}))
+    return db
+
+
+class TestPostfixNot:
+    """``x NOT LIKE``, ``x NOT IN`` and ``x NOT BETWEEN`` parse as the
+    negation of the predicate, so a NULL operand keeps its row out."""
+
+    @pytest.fixture(scope="class")
+    def db(self):
+        return _postfix_not_db()
+
+    @pytest.mark.parametrize("zone_maps", [True, False],
+                             ids=["zone_maps", "no_zone_maps"])
+    @pytest.mark.parametrize("predicate, keep", [
+        ("s NOT LIKE 'x%'", lambda t: ~np.char.startswith(t["s"], "x")),
+        ("x NOT IN (1, 5)", lambda t: (t["x"] != 1) & (t["x"] != 5)
+         & ~np.isnan(t["x"])),
+        ("a NOT BETWEEN 1 AND 2", lambda t: (t["a"] < 1) | (t["a"] > 2)),
+        ("x NOT BETWEEN 2 AND 6", lambda t: (t["x"] < 2) | (t["x"] > 6)),
+        ("NOT x NOT IN (1, 5)", lambda t: (t["x"] == 1) | (t["x"] == 5)),
+        ("x NOT IN (1, 5) AND id NOT BETWEEN 100 AND 2900",
+         lambda t: (t["x"] != 1) & (t["x"] != 5) & ~np.isnan(t["x"])
+         & ((t["id"] < 100) | (t["id"] > 2900))),
+    ], ids=["not_like", "not_in", "not_between", "not_between_nulls",
+            "not_not_in", "conjunction"])
+    def test_count_matches_sqlite(self, db, predicate, keep, zone_maps):
+        rows = check(db, f"SELECT COUNT(*) AS n FROM t WHERE {predicate}",
+                     zone_maps=zone_maps)
+        table = db.table("t")
+        columns = {name: np.asarray(table.column(name).data.tolist())
+                   for name in table.column_names}
+        assert rows == ((int(keep(columns).sum()),),)
+
+    @pytest.mark.parametrize("zone_maps", [True, False],
+                             ids=["zone_maps", "no_zone_maps"])
+    def test_rows_and_groups_match_sqlite(self, db, zone_maps):
+        check(db, "SELECT id, x FROM t WHERE x NOT BETWEEN 3 AND 8 "
+                  "AND s NOT LIKE '%b' ORDER BY id", zone_maps=zone_maps)
+        check(db, "SELECT a, COUNT(*) AS n, SUM(x) AS total FROM t "
+                  "WHERE x NOT IN (0, 2, 4) GROUP BY a ORDER BY a",
+              zone_maps=zone_maps)
+
+    def test_parses_as_negation(self):
+        where = parse_select("SELECT id FROM t WHERE x NOT IN (1, 5)").where
+        assert where == Not(InList(ColumnRef("x"), (1, 5)))
+        where = parse_select("SELECT id FROM t WHERE NOT x NOT LIKE 'a%'"
+                             ).where
+        assert where == Not(Not(Like(ColumnRef("x"), "a%")))
+        where = parse_select(
+            "SELECT id FROM t WHERE x not between 1 and 2").where
+        assert where == Not(Between(ColumnRef("x"), Literal(1),
+                                    Literal(2)))
+
+    def test_other_postfix_not_refused(self):
+        with pytest.raises(SqlSyntaxError, match="BETWEEN, IN or LIKE"):
+            parse_select("SELECT id FROM t WHERE x NOT = 3")
 
 
 def _null_keys_db():
