@@ -332,7 +332,7 @@ class Engine:
                     cache_span.set(hit=hit)
         if plan is not None:
             # Cached plan: the parse and optimize phases collapse to
-            # the (already charged) lookup.
+            # the lookup.
             after = mark()
             return plan, hit, (after, after)
 
